@@ -158,10 +158,6 @@ def _emit(obj, out_path, pretty: bool) -> None:
         sys.stdout.write(text)
 
 
-def _load_tensor(path):
-    return sz.tensor_from_json(sz.load_json_file(path), path="tensor")
-
-
 def _load_map(path, domain=None):
     obj = sz.load_json_file(path)
     if domain is not None and isinstance(obj, dict) and "index_set" in obj:
@@ -172,59 +168,56 @@ def _load_map(path, domain=None):
     return sz.index_map_from_json(obj, domain, path="map")
 
 
+def _operands(args, *flags):
+    """Load the tensor/vector files named by ``flags``, then the map on the
+    first one's domain."""
+    loaded = [sz.tensor_vector_from_json(sz.load_json_file(args.vector), path="vector")
+              if flag == "vector" else
+              sz.tensor_from_json(sz.load_json_file(getattr(args, flag)), path="tensor")
+              for flag in flags]
+    return (*loaded, _load_map(args.map_path, loaded[0].domain))
+
+
 def _cmd_stretch(args) -> int:
-    tensor = _load_tensor(args.tensor)
-    fmap = _load_map(args.map_path, tensor.domain)
-    _emit(sz.matrix_to_json(stretch(tensor, fmap)), args.out, args.pretty)
+    _emit(sz.matrix_to_json(stretch(*_operands(args, "tensor"))), args.out, args.pretty)
     return EXIT_OK
 
 
 def _cmd_stretch_vector(args) -> int:
-    vector = sz.tensor_vector_from_json(sz.load_json_file(args.vector), path="vector")
-    fmap = _load_map(args.map_path, vector.domain)
-    _emit(sz.vector_to_json(stretch_vector(vector, fmap)), args.out, args.pretty)
+    result = stretch_vector(*_operands(args, "vector"))
+    _emit(sz.vector_to_json(result), args.out, args.pretty)
     return EXIT_OK
 
 
 def _cmd_convolve(args) -> int:
-    left = _load_tensor(args.left)
-    right = _load_tensor(args.right)
-    fmap = _load_map(args.map_path, left.domain)
-    _emit(sz.tensor_to_json(convolve(left, right, fmap)), args.out, args.pretty)
+    result = convolve(*_operands(args, "left", "right"))
+    _emit(sz.tensor_to_json(result), args.out, args.pretty)
     return EXIT_OK
 
 
 def _cmd_act(args) -> int:
-    tensor = _load_tensor(args.tensor)
-    vector = sz.tensor_vector_from_json(sz.load_json_file(args.vector), path="vector")
-    fmap = _load_map(args.map_path, tensor.domain)
-    _emit(sz.tensor_vector_to_json(act(tensor, vector, fmap)), args.out, args.pretty)
+    result = act(*_operands(args, "tensor", "vector"))
+    _emit(sz.tensor_vector_to_json(result), args.out, args.pretty)
     return EXIT_OK
 
 
 def _cmd_average(args) -> int:
-    tensor = _load_tensor(args.tensor)
-    fmap = _load_map(args.map_path, tensor.domain)
-    result = average(tensor, fmap, normalized=not args.raw)
+    result = average(*_operands(args, "tensor"), normalized=not args.raw)
     _emit(sz.tensor_to_json(result), args.out, args.pretty)
     return EXIT_OK
 
 
 def _cmd_kappa(args) -> int:
-    tensor = _load_tensor(args.tensor)
-    fmap = _load_map(args.map_path, tensor.domain)
-    value = kappa(tensor, fmap)
-    _emit({"scalar": tensor.kind, "value": sz.scalar_to_json(value, tensor.kind)},
-          args.out, args.pretty)
+    tensor, fmap = _operands(args, "tensor")
+    value = sz.scalar_to_json(kappa(tensor, fmap), tensor.kind)
+    _emit({"scalar": tensor.kind, "value": value}, args.out, args.pretty)
     return EXIT_OK
 
 
 def _cmd_permute(args) -> int:
-    tensor = _load_tensor(args.tensor)
-    fmap = _load_map(args.map_path, tensor.domain)
-    sigma = Permutation.from_string(args.sigma)
-    _emit(sz.matrix_to_json(permute_stretch(tensor, fmap, sigma)),
-          args.out, args.pretty)
+    tensor, fmap = _operands(args, "tensor")
+    result = permute_stretch(tensor, fmap, Permutation.from_string(args.sigma))
+    _emit(sz.matrix_to_json(result), args.out, args.pretty)
     return EXIT_OK
 
 
@@ -263,6 +256,9 @@ def _cmd_tp_witness(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite not in SUITE_NAMES:
         raise ParseError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
+    # jordan takes 0 for its exhaustive cell grid; every other count is a trial count.
+    if args.trials < (0 if args.suite == "jordan" else 1):
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
     seed = args.seed if args.seed is not None else _default_seed()
     report = run_suite(args.suite, args.trials, seed)
     _emit(report, args.out, args.pretty)

@@ -195,6 +195,21 @@ class ClassPartition:
         return len(self.values)
 
 
+def class_fold(values, rows, cols, zero=0) -> list:
+    """Add entry (i, j) of a row-major ``len(rows) x len(cols)`` array into
+    cell (rows[i], cols[j]) of a row-major class grid.
+
+    A partition's ``class_of_position`` folds an axis by class, ``range(n)``
+    keeps it and ``(0,)`` stands for a vector's single row or column.
+    """
+    width = max(cols) + 1
+    out = [zero] * ((max(rows) + 1) * width)
+    for cell, v in zip([r * width + c for r in rows for c in cols], values):
+        if v:
+            out[cell] += v
+    return out
+
+
 LINEAR = "linear"
 MIXED_RADIX = "mixed-radix"
 MAX_COORD = "max"
@@ -294,9 +309,6 @@ class IndexMap:
                     f"permutation sends {p} to {image}, outside the index set")
             table[p] = self.value(image)
         return IndexMap.from_table(self.domain, table)
-
-    def as_table(self) -> "IndexMap":
-        return IndexMap.from_table(self.domain, {p: self.value(p) for p in self.domain})
 
     def pointwise_equal(self, other: "IndexMap") -> bool:
         return self.domain == other.domain and self.values() == other.values()

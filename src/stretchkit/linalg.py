@@ -1,8 +1,9 @@
 """Dense matrices and vectors over a single scalar kind.
 
 The kernel is deliberately small: product, Kronecker product, determinant,
-rank and nullity sequences.  Exact ("gq") data goes through fraction-free or
-fraction-exact elimination; float ("cf64") data through partially pivoted LU.
+rank and nullity sequences.  Exact ("gq") determinants run on integer-scaled
+arrays (Bareiss on Gaussian integers), exact rank and inverse on fraction-free
+or fraction-exact elimination; float ("cf64") data through pivoted LU.
 Row and column labels are carried verbatim and never interpreted here.
 """
 from __future__ import annotations
@@ -11,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionError, VariantError
-from .scalars import CF64, GQ, close, coerce, one, zero
+from .scalars import CF64, GQ, close, coerce, one, scaled, to_scaled, zero
 
 
 def _labels(labels, n, what):
@@ -220,29 +221,38 @@ def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 
 def _det_bareiss(m: DenseMatrix):
-    """Fraction-free Bareiss elimination; exact over Gaussian rationals."""
+    """Fraction-free Bareiss elimination on Gaussian integers.
+
+    Runs on den * m as integer (real, imaginary) rows; det(m) = det(den * m)
+    / den^n.  Each step divides exactly by the previous pivot q (Bareiss,
+    Math. Comp. 22 (1968)): multiply by conj(q), floor-divide by |q|^2.
+    """
     n = m.n_rows
-    rows = m.to_rows()
-    z = zero(GQ)
-    sign = 1
-    prev = one(GQ)
+    den, re, im = to_scaled(m.data)
+    rows = [(re[i * n:(i + 1) * n], im[i * n:(i + 1) * n]) for i in range(n)]
+    sign, qr, qi = 1, 1, 0
     for k in range(n - 1):
-        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        piv = next((r for r in range(k, n) if rows[r][0][k] or rows[r][1][k]), None)
         if piv is None:
-            return z
+            return zero(GQ)
         if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        pk = rows[k][k]
+            rows[k], rows[piv], sign = rows[piv], rows[k], -sign
+        kr, ki = rows[k]
+        pr, pi, norm = kr[k], ki[k], qr * qr + qi * qi
         for i in range(k + 1, n):
-            mik = rows[i][k]
-            ri, rk = rows[i], rows[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pk - mik * rk[j]) / prev
-            ri[k] = z
-        prev = pk
-    d = rows[n - 1][n - 1]
-    return d if sign > 0 else -d
+            ar, ai = rows[i]
+            mr, mi = ar[k], ai[k]
+            cols = list(zip(ar, ai, kr, ki))[k + 1:]
+            xr = [a * pr - b * pi - mr * c + mi * d for a, b, c, d in cols]
+            xi = [a * pi + b * pr - mr * d - mi * c for a, b, c, d in cols]
+            if qi:
+                xr, xi = ([(a * qr + b * qi) // norm for a, b in zip(xr, xi)],
+                          [(b * qr - a * qi) // norm for a, b in zip(xr, xi)])
+            else:
+                xr, xi = [a // qr for a in xr], [b // qr for b in xi]
+            rows[i] = (ar[:k + 1] + xr, ai[:k + 1] + xi)
+        qr, qi = pr, pi
+    return scaled(sign * rows[-1][0][-1], sign * rows[-1][1][-1], den ** n)
 
 
 def _det_lu(m: DenseMatrix):

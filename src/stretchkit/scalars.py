@@ -8,6 +8,7 @@ values to floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import VariantError
 
@@ -148,6 +149,9 @@ class GaussianRational:
         return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
 
 
+_ZERO = GaussianRational._raw(_F0, _F0)
+
+
 def gq(re=0, im=0) -> GaussianRational:
     """Convenience constructor; accepts ints, Fractions and strings like "3/2"."""
     if isinstance(re, str):
@@ -180,6 +184,37 @@ def coerce(value, kind: str):
             return complex(value)
         raise VariantError(f"cannot place {type(value).__name__} into 'cf64' data")
     raise VariantError(f"unknown scalar kind {kind!r}")
+
+
+def to_scaled(data):
+    """Common-denominator form ``(den, re, im)`` of exact data: ``data[k] ==
+    (re[k] + i*im[k]) / den`` with int lists and ``den`` the lcm of the
+    entries' denominators (zeros have denominator 1)."""
+    den = lcm(*{v.re.denominator for v in data}, *{v.im.denominator for v in data})
+    return (den, [v.re.numerator * (den // v.re.denominator) for v in data],
+            [v.im.numerator * (den // v.im.denominator) for v in data])
+
+
+def from_scaled(den, re, im) -> tuple:
+    """Inverse of :func:`to_scaled`: the tuple of ``(re[k] + i*im[k]) / den``."""
+    return tuple(scaled(x, y, den) for x, y in zip(re, im))
+
+
+def scaled(re: int, im: int, den: int) -> GaussianRational:
+    """``(re + i*im) / den`` for ints with ``den > 0``; zero is one shared value."""
+    if not (re or im):
+        return _ZERO
+    if den == 1:
+        return GaussianRational._raw(Fraction(re), Fraction(im) if im else _F0)
+    return GaussianRational._raw(Fraction(re, den), Fraction(im, den) if im else _F0)
+
+
+def trusted(cls, **slots):
+    """``cls`` instance with the given slots and no per-entry :func:`coerce`."""
+    obj = object.__new__(cls)
+    for name, value in slots.items():
+        setattr(obj, name, value)
+    return obj
 
 
 def zero(kind: str):

@@ -57,7 +57,8 @@ def _require(obj, key, path, types=None):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"{path}: missing field \"{key}\"")
     value = obj[key]
-    if types is not None and not isinstance(value, types):
+    # JSON true/false parse as bool, a subclass of int: never a valid field.
+    if types is not None and (not isinstance(value, types) or isinstance(value, bool)):
         raise ParseError(f"{path}.{key}: unexpected type {type(value).__name__}")
     return value
 
@@ -216,6 +217,8 @@ def tensor_from_json(obj, path: str = "tensor") -> Tensor:
                               f"{path}.entries[{i}].col"))
         value = scalar_from_json(_require(entry, "value", f"{path}.entries[{i}]"),
                                  kind, f"{path}.entries[{i}].value")
+        if (row, col) in entries:
+            raise ParseError(f"{path}.entries[{i}]: repeats row {list(row)}, col {list(col)}")
         entries[(row, col)] = value
     try:
         return Tensor.from_entries(domain, kind, entries)
@@ -241,6 +244,8 @@ def tensor_vector_from_json(obj, path: str = "vector") -> TensorVector:
                                 f"{path}.entries[{i}].point"))
         value = scalar_from_json(_require(entry, "value", f"{path}.entries[{i}]"),
                                  kind, f"{path}.entries[{i}].value")
+        if point in entries:
+            raise ParseError(f"{path}.entries[{i}]: repeats point {list(point)}")
         entries[point] = value
     try:
         return TensorVector.from_entries(domain, kind, entries)

@@ -13,45 +13,28 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .indexing import IndexMap, Permutation
-from .linalg import (DenseMatrix, DenseVector, det, inverse, mat_mul,
+from .linalg import (DenseMatrix, DenseVector, det, mat_mul, matrices_close,
                      permutation_matrix, rank)
-from .scalars import CF64, GQ, close, gq, zero
-from .tensors import Tensor, TensorVector, average
+from .scalars import GQ, gq, trusted, zero
+from .tensors import Tensor, TensorVector, average, fold, require_domain, unfold
 
 
 def stretch(t: Tensor, fmap: IndexMap) -> DenseMatrix:
     """Stretched matrix of ``t`` under ``fmap``, labelled by sorted map values."""
-    if fmap.domain != t.domain:
-        raise DomainError("index map and tensor live on different index sets")
+    require_domain(fmap, t)
     part = fmap.partition()
-    n = t.size
-    n_cls = len(part)
-    cidx = part.class_of_position
-    z = zero(t.kind)
-    grid = [[z] * n_cls for _ in range(n_cls)]
-    for i in range(n):
-        row = grid[cidx[i]]
-        base = i * n
-        for j in range(n):
-            v = t.data[base + j]
-            if v:
-                row[cidx[j]] = row[cidx[j]] + v
-    flat = [v for row in grid for v in row]
-    return DenseMatrix(t.kind, n_cls, n_cls, flat,
-                       row_labels=part.values, col_labels=part.values)
+    cidx, k = part.class_of_position, len(part)
+    data = unfold(t.kind, *fold(t, cidx, cidx))
+    return trusted(DenseMatrix, kind=t.kind, n_rows=k, n_cols=k, data=data,
+                   row_labels=part.values, col_labels=part.values)
 
 
 def stretch_vector(x: TensorVector, fmap: IndexMap) -> DenseVector:
     """Stretched vector: the component at F(i) accumulates x over the class."""
-    if fmap.domain != x.domain:
-        raise DomainError("index map and vector live on different index sets")
+    require_domain(fmap, x)
     part = fmap.partition()
-    cidx = part.class_of_position
-    out = [zero(x.kind)] * len(part)
-    for pos, v in enumerate(x.data):
-        if v:
-            out[cidx[pos]] = out[cidx[pos]] + v
-    return DenseVector(x.kind, len(part), out, labels=part.values)
+    data = unfold(x.kind, *fold(x, (0,), part.class_of_position))
+    return trusted(DenseVector, kind=x.kind, n=len(part), data=data, labels=part.values)
 
 
 def kappa(t: Tensor, fmap: IndexMap):
@@ -96,25 +79,31 @@ def tp_similarity_witness(fmap: IndexMap) -> SimilarityWitness:
 
 
 def check_tp_witness(fmap: IndexMap, witness: SimilarityWitness) -> bool:
-    """Exhaustively verify the conjugation identity on all matrix-unit tensors."""
+    """Verify stretch(T, F) == U * stretch(T, F_TP) * U^T for every tensor T.
+
+    F must be injective and U = ``witness.matrix`` a permutation matrix;
+    both are checked directly.  Then one tensor D with pairwise-distinct
+    entries suffices.  Proof: for injective F, stretch(., F) moves entry
+    (i, j) of a tensor to cell (rank F(i), rank F(j)), so each cell of the
+    left side reads T at the pair lambda(cell) for a fixed bijection lambda.
+    F_TP is injective too, and conjugation by a permutation matrix (U^T is
+    U^-1) moves entries, so each cell of the right side reads T at rho(cell)
+    for a fixed bijection rho.  If both sides agree on D, then
+    D[lambda(c)] == D[rho(c)] for every cell c, and distinct entries force
+    lambda(c) == rho(c); the two sides then agree on every T.
+    """
     domain = fmap.domain
     tp = IndexMap.mixed_radix(domain)
     u = witness.matrix
-    u_inv = inverse(u)
-    for pi in domain:
-        for pj in domain:
-            unit = Tensor.unit(domain, pi, pj, GQ)
-            lhs = stretch(unit, fmap)
-            rhs = mat_mul(mat_mul(u, stretch(unit, tp)), u_inv)
-            if lhs.data != rhs.data:
-                return False
-    return True
-
-
-def _entries_equal(kind, a, b):
-    if kind == GQ:
-        return a == b
-    return all(close(x, y) for x, y in zip(a, b))
+    n = len(domain)
+    ones = [p for p, v in enumerate(u.data) if v]  # row-major: one per row and column
+    if not (fmap.is_injective() and (u.n_rows, u.n_cols) == (n, n)
+            and [p // n for p in ones] == sorted(p % n for p in ones) == list(range(n))
+            and all(u.data[p] == 1 for p in ones)):
+        return False
+    distinct = Tensor(domain, GQ, range(1, n * n + 1))
+    rhs = mat_mul(mat_mul(u, stretch(distinct, tp)), u.transpose())
+    return stretch(distinct, fmap).data == rhs.data
 
 
 def verify_averaging_decomposition(t: Tensor, fmap: IndexMap) -> dict:
@@ -129,7 +118,7 @@ def verify_averaging_decomposition(t: Tensor, fmap: IndexMap) -> dict:
     base = stretch(t, fmap)
 
     averaged = stretch(average(t, fmap, normalized=True), fmap)
-    projection_preserved = _entries_equal(t.kind, averaged.data, base.data)
+    projection_preserved = matrices_close(averaged, base)
 
     n_cls = len(part)
     rows = []
@@ -141,19 +130,11 @@ def verify_averaging_decomposition(t: Tensor, fmap: IndexMap) -> dict:
             rows.append(list(stretch(indicator, fmap).data))
     indicator_rank = rank(DenseMatrix.from_rows(rows, GQ))
 
-    d = DenseMatrix.from_rows(
-        [[gq(part.sizes[i]) if i == j else gq(0) for j in range(n_cls)]
-         for i in range(n_cls)], GQ)
-    if t.kind == GQ:
-        raw_expected = mat_mul(mat_mul(d, base), d)
-    else:
-        sizes = part.sizes
-        raw_expected = DenseMatrix(
-            CF64, n_cls, n_cls,
-            [base.at(i, j) * sizes[i] * sizes[j]
-             for i in range(n_cls) for j in range(n_cls)])
+    d = DenseMatrix.from_rows([[part.sizes[i] if i == j else 0 for j in range(n_cls)]
+                               for i in range(n_cls)], t.kind)
+    raw_expected = mat_mul(mat_mul(d, base), d)
     raw_stretched = stretch(average(t, fmap, normalized=False), fmap)
-    raw_conjugation = _entries_equal(t.kind, raw_stretched.data, raw_expected.data)
+    raw_conjugation = matrices_close(raw_stretched, raw_expected)
 
     passed = projection_preserved and indicator_rank == n_cls ** 2 and raw_conjugation
     return {

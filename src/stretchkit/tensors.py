@@ -8,11 +8,12 @@ matrix product.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionError, DomainError, VariantError
-from .indexing import IndexMap, IndexSet
-from .scalars import GQ, close, coerce, one, zero
+from .indexing import IndexMap, IndexSet, class_fold
+from .scalars import (GQ, close, coerce, from_scaled, one, scaled, to_scaled,
+                      trusted, zero)
 
 
 class Tensor:
@@ -28,11 +29,6 @@ class Tensor:
         self.domain = domain
         self.kind = kind
         self.data = data
-
-    @classmethod
-    def zeros(cls, domain, kind) -> "Tensor":
-        n = len(domain)
-        return cls(domain, kind, [zero(kind)] * (n * n))
 
     @classmethod
     def from_entries(cls, domain, kind, entries) -> "Tensor":
@@ -92,10 +88,6 @@ class TensorVector:
             data[domain.position(p)] = coerce(v, kind)
         return cls(domain, kind, data)
 
-    @classmethod
-    def basis(cls, domain, point, kind=GQ) -> "TensorVector":
-        return cls.from_entries(domain, kind, {tuple(point): one(kind)})
-
     def at(self, point):
         return self.data[self.domain.position(point)]
 
@@ -109,9 +101,9 @@ class TensorVector:
         return f"TensorVector({self.kind}, |A|={len(self.domain)})"
 
 
-def _require_domain(fmap: IndexMap, obj):
+def require_domain(fmap: IndexMap, obj):
     if fmap.domain != obj.domain:
-        raise DomainError("index map and tensor live on different index sets")
+        raise DomainError(f"index map and {type(obj).__name__} live on different index sets")
 
 
 def _require_compatible(a, b):
@@ -154,82 +146,66 @@ def pure_tensor(factors) -> Tensor:
 
 def identity_tensor(domain: IndexSet, kind=GQ) -> Tensor:
     """Id[i, j] = 1 when i = j, else 0."""
-    n = len(domain)
-    z, o = zero(kind), one(kind)
-    data = [z] * (n * n)
-    for i in range(n):
-        data[i * n + i] = o
-    return Tensor(domain, kind, data)
+    return Tensor.from_entries(domain, kind, {(p, p): 1 for p in domain})
+
+
+def fold(obj, rows, cols):
+    """:func:`class_fold` of a tensor's or vector's entries, in kernel form:
+    ``(den, re, im)`` int arrays for exact data, ``(1, values, None)`` for float."""
+    if obj.kind == GQ:
+        den, re, im = to_scaled(obj.data)
+        return den, class_fold(re, rows, cols), class_fold(im, rows, cols)
+    return 1, class_fold(obj.data, rows, cols, 0j), None
+
+
+def unfold(kind, den, re, im) -> tuple:
+    """Scalars of ``kind`` from the kernel form returned by :func:`fold`."""
+    return from_scaled(den, re, im) if kind == GQ else tuple(re)
+
+
+def _product(a, b, n, k, m):
+    """Kernel-form product of an n x k and a k x m fold (Gaussian for 'gq')."""
+    (da, ar, ai), (db, br, bi) = a, b
+
+    def dot(x, y):
+        cols = [y[j::m] for j in range(m)]
+        return [sum(map(mul, x[i * k:i * k + k], col)) for i in range(n) for col in cols]
+    if ai is None:
+        return 1, dot(ar, br), None
+    re = [x - y for x, y in zip(dot(ar, br), dot(ai, bi))]
+    im = [x + y for x, y in zip(dot(ar, bi), dot(ai, br))]
+    return da * db, re, im
 
 
 def convolve(t1: Tensor, t2: Tensor, fmap: IndexMap) -> Tensor:
     """Convolution product: out[i, j] = sum over m ~ n of t1[i, m] * t2[n, j].
 
-    The sum over equivalent pairs factorizes through classes, so the inner
-    pair loop is replaced by class-indexed row sums of t2.
+    The sum over equivalent pairs factorizes through classes: fold the
+    columns of t1 and the rows of t2 by class, then multiply (T1 P^T)(P T2).
     """
     _require_compatible(t1, t2)
-    _require_domain(fmap, t1)
+    require_domain(fmap, t1)
     part = fmap.partition()
-    n = t1.size
-    cidx = part.class_of_position
-    z = zero(t1.kind)
-    # class_rows[c][j] = sum of t2[m, j] over points m in class c
-    class_rows = [[z] * n for _ in range(len(part))]
-    d2 = t2.data
-    for m in range(n):
-        row = class_rows[cidx[m]]
-        base = m * n
-        for j in range(n):
-            v = d2[base + j]
-            if v:
-                row[j] = row[j] + v
-    d1 = t1.data
-    out = [z] * (n * n)
-    for i in range(n):
-        base = i * n
-        for m in range(n):
-            t1im = d1[base + m]
-            if not t1im:
-                continue
-            row = class_rows[cidx[m]]
-            for j in range(n):
-                if row[j]:
-                    out[base + j] = out[base + j] + t1im * row[j]
-    return Tensor(t1.domain, t1.kind, out)
+    n, k, cidx = t1.size, len(part), part.class_of_position
+    out = _product(fold(t1, range(n), cidx), fold(t2, cidx, range(n)), n, k, n)
+    return trusted(Tensor, domain=t1.domain, kind=t1.kind, data=unfold(t1.kind, *out))
 
 
 def star(t: Tensor) -> Tensor:
     """Adjoint: (star T)[i, j] = T[j, i]."""
     n = t.size
-    data = [t.data[j * n + i] for i in range(n) for j in range(n)]
-    return Tensor(t.domain, t.kind, data)
+    data = tuple(t.data[j * n + i] for i in range(n) for j in range(n))
+    return trusted(Tensor, domain=t.domain, kind=t.kind, data=data)
 
 
 def act(t: Tensor, x: TensorVector, fmap: IndexMap) -> TensorVector:
     """Action on vectors: (T * x)[i] = sum over j ~ l of T[i, j] * x[l]."""
     _require_compatible(t, x)
-    _require_domain(fmap, t)
+    require_domain(fmap, t)
     part = fmap.partition()
-    n = t.size
-    cidx = part.class_of_position
-    z = zero(t.kind)
-    class_sums = [z] * len(part)
-    for l, v in enumerate(x.data):
-        if v:
-            class_sums[cidx[l]] = class_sums[cidx[l]] + v
-    out = []
-    for i in range(n):
-        acc = z
-        base = i * n
-        for j in range(n):
-            tij = t.data[base + j]
-            if tij:
-                s = class_sums[cidx[j]]
-                if s:
-                    acc = acc + tij * s
-        out.append(acc)
-    return TensorVector(t.domain, t.kind, out)
+    n, k, cidx = t.size, len(part), part.class_of_position
+    out = _product(fold(t, range(n), cidx), fold(x, cidx, (0,)), n, k, 1)
+    return trusted(TensorVector, domain=t.domain, kind=t.kind, data=unfold(t.kind, *out))
 
 
 def average(t: Tensor, fmap: IndexMap, normalized: bool = True) -> Tensor:
@@ -240,32 +216,17 @@ def average(t: Tensor, fmap: IndexMap, normalized: bool = True) -> Tensor:
     reweighted identity with 1/|class| on the diagonal, so each block becomes
     its mean; only this variant is a projection.
     """
-    _require_domain(fmap, t)
+    require_domain(fmap, t)
     part = fmap.partition()
-    n = t.size
-    cidx = part.class_of_position
-    z = zero(t.kind)
-    n_cls = len(part)
-    blocks = [[z] * n_cls for _ in range(n_cls)]
-    for i in range(n):
-        row = blocks[cidx[i]]
-        base = i * n
-        for j in range(n):
-            v = t.data[base + j]
-            if v:
-                row[cidx[j]] = row[cidx[j]] + v
-    if normalized:
-        for ci in range(n_cls):
-            for cj in range(n_cls):
-                count = part.sizes[ci] * part.sizes[cj]
-                v = blocks[ci][cj]
-                if v and count > 1:
-                    if t.kind == GQ:
-                        blocks[ci][cj] = v * Fraction(1, count)
-                    else:
-                        blocks[ci][cj] = v / count
-    data = [blocks[cidx[i]][cidx[j]] for i in range(n) for j in range(n)]
-    return Tensor(t.domain, t.kind, data)
+    cidx, sizes, k = part.class_of_position, part.sizes, len(part)
+    den, re, im = fold(t, cidx, cidx)
+    counts = [a * b if normalized else 1 for a in sizes for b in sizes]
+    if t.kind == GQ:
+        blocks = [scaled(x, y, den * c) for x, y, c in zip(re, im, counts)]
+    else:
+        blocks = [v / c if v and c > 1 else v for v, c in zip(re, counts)]
+    data = tuple(blocks[ci * k + cj] for ci in cidx for cj in cidx)
+    return trusted(Tensor, domain=t.domain, kind=t.kind, data=data)
 
 
 def tensors_close(a: Tensor, b: Tensor, rel_tol=1e-9, abs_tol=1e-12) -> bool:

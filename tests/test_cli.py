@@ -235,6 +235,15 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_trials_below_one_exits_2(capsys):
+    for trials in ("-5", "0"):
+        code, out, err = run_cli(["verify", "homomorphism", "--trials", trials], capsys)
+        assert code == 2 and out == ""
+        assert err == f"parse error: --trials must be at least 1, got {trials}\n"
+    code, out, _ = run_cli(["verify", "jordan", "--trials", "0"], capsys)
+    assert code == 0 and json.loads(out)["trials"] == 0  # the exhaustive cell grid
+
+
 def test_verify_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("STRETCHKIT_SEED", "42")
     code, out, _ = run_cli(["verify", "averaging", "--trials", "3"], capsys)

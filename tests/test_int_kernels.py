@@ -1,0 +1,219 @@
+"""The integer-scaled kernels against definitional loops written here.
+
+Each reference below sums over index pairs straight from the definitions in
+the paper, with ``GaussianRational`` (or ``complex``) arithmetic and no class
+fold, common denominator or Bareiss step, so the kernels get a second,
+independent code path on every input.
+"""
+from fractions import Fraction
+from math import prod
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stretchkit.indexing import IndexMap, IndexSet
+from stretchkit.linalg import DenseMatrix, det
+from stretchkit.scalars import CF64, GQ, GaussianRational, close
+from stretchkit.stretching import kappa, stretch, stretch_vector
+from stretchkit.tensors import Tensor, TensorVector, act, average, convolve
+
+BIG = 2 ** 70
+# Coprime and shared denominators, up to a 61-bit prime.
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 11, 2 ** 61 - 1)
+ZERO = GaussianRational()
+
+fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from(DENOMINATORS)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.sampled_from(DENOMINATORS)))
+floats = st.floats(-10, 10, allow_nan=False)
+
+
+@st.composite
+def maps(draw, max_points=12):
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                .filter(lambda d: prod(d) <= max_points))
+    domain = IndexSet.rectangular(dims)
+    kind = draw(st.sampled_from(("linear", "max", "table", "mixed-radix")))
+    if kind == "linear":
+        k = draw(st.lists(st.integers(-2, 2), min_size=len(dims), max_size=len(dims)))
+        return IndexMap.linear(domain, k)
+    if kind == "table":
+        values = draw(st.lists(st.integers(-2, 3), min_size=len(domain),
+                               max_size=len(domain)))
+        return IndexMap.from_table(domain, dict(zip(domain.points, values)))
+    return IndexMap.max_coord(domain) if kind == "max" else IndexMap.mixed_radix(domain)
+
+
+@st.composite
+def values(draw, count, kind=GQ):
+    """Entries in one of four styles: general, purely imaginary, all zero, one unit."""
+    if kind == CF64:
+        return draw(st.lists(st.builds(complex, floats, floats),
+                             min_size=count, max_size=count))
+    style = draw(st.sampled_from(("general", "imaginary", "zero", "unit")))
+    if style == "zero":
+        return [ZERO] * count
+    if style == "unit":
+        out = [ZERO] * count
+        out[draw(st.integers(0, count - 1))] = GaussianRational(1)
+        return out
+    re = st.just(Fraction(0)) if style == "imaginary" else fractions
+    return draw(st.lists(st.builds(GaussianRational, re, fractions),
+                         min_size=count, max_size=count))
+
+
+def tensor(draw, fmap, kind):
+    n = len(fmap.domain)
+    return Tensor(fmap.domain, kind, draw(values(n * n, kind)))
+
+
+def zero_of(kind):
+    return ZERO if kind == GQ else 0j
+
+
+def ref_stretch(t, fmap):
+    f, n = fmap.values(), t.size
+    labels = sorted(set(f))
+    grid = {(a, b): zero_of(t.kind) for a in labels for b in labels}
+    for i in range(n):
+        for j in range(n):
+            grid[f[i], f[j]] = grid[f[i], f[j]] + t.data[i * n + j]
+    return labels, [grid[a, b] for a in labels for b in labels]
+
+
+def ref_act(t, x, fmap):
+    f, n = fmap.values(), t.size
+    out = []
+    for i in range(n):
+        acc = zero_of(t.kind)
+        for j in range(n):
+            for l in range(n):
+                if f[j] == f[l]:
+                    acc = acc + t.data[i * n + j] * x.data[l]
+        out.append(acc)
+    return out
+
+
+def ref_average(t, fmap, normalized):
+    f, n = fmap.values(), t.size
+    out = []
+    for i in range(n):
+        for j in range(n):
+            block = [t.data[a * n + b] for a in range(n) for b in range(n)
+                     if f[a] == f[i] and f[b] == f[j]]
+            total = sum(block, zero_of(t.kind))
+            if normalized and t.kind == GQ:
+                total = total * Fraction(1, len(block))
+            elif normalized:
+                total = total / len(block)
+            out.append(total)
+    return out
+
+
+def ref_convolve(t1, t2, fmap):
+    f, n = fmap.values(), t1.size
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = zero_of(t1.kind)
+            for m in range(n):
+                for l in range(n):
+                    if f[m] == f[l]:
+                        acc = acc + t1.data[i * n + m] * t2.data[l * n + j]
+            out.append(acc)
+    return out
+
+
+def ref_det(rows):
+    """Gaussian elimination with GaussianRational division."""
+    rows = [list(r) for r in rows]
+    n, acc = len(rows), GaussianRational(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return ZERO
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            acc = -acc
+        acc = acc * rows[c][c]
+        for r in range(c + 1, n):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return acc
+
+
+def same(kind, got, want):
+    """Exact data must match exactly; float data may differ by the rounding
+    of another summation order (parts up to 10, at most 144 products)."""
+    if kind == GQ:
+        return tuple(got) == tuple(want)
+    return len(got) == len(want) and all(close(a, b, 1e-9, 1e-9) for a, b in zip(got, want))
+
+
+kinds = st.sampled_from((GQ, GQ, CF64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), maps(), kinds)
+def test_stretch_and_stretch_vector(data, fmap, kind):
+    t = tensor(data.draw, fmap, kind)
+    x = TensorVector(fmap.domain, kind, data.draw(values(len(fmap.domain), kind)))
+    labels, want = ref_stretch(t, fmap)
+    got = stretch(t, fmap)
+    assert list(got.row_labels) == labels == list(got.col_labels)
+    assert same(kind, got.data, want)
+    f = fmap.values()
+    want_x = [sum((x.data[p] for p in range(len(f)) if f[p] == v), zero_of(kind))
+              for v in labels]
+    gx = stretch_vector(x, fmap)
+    assert list(gx.labels) == labels and same(kind, gx.data, want_x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), maps(), kinds)
+def test_act_and_average(data, fmap, kind):
+    t = tensor(data.draw, fmap, kind)
+    x = TensorVector(fmap.domain, kind, data.draw(values(len(fmap.domain), kind)))
+    assert same(kind, act(t, x, fmap).data, ref_act(t, x, fmap))
+    for normalized in (True, False):
+        assert same(kind, average(t, fmap, normalized).data,
+                    ref_average(t, fmap, normalized))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), maps(max_points=8), kinds)
+def test_convolve(data, fmap, kind):
+    t1, t2 = tensor(data.draw, fmap, kind), tensor(data.draw, fmap, kind)
+    assert same(kind, convolve(t1, t2, fmap).data, ref_convolve(t1, t2, fmap))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), maps(max_points=8))
+def test_kappa_is_the_determinant_of_the_reference_stretch(data, fmap):
+    t = tensor(data.draw, fmap, GQ)
+    labels, grid = ref_stretch(t, fmap)
+    k = len(labels)
+    assert kappa(t, fmap) == ref_det([grid[i * k:(i + 1) * k] for i in range(k)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 5), st.booleans())
+def test_det_with_row_swaps_and_complex_pivots(data, n, leading_zero):
+    """A zero leading entry forces a row swap; non-real entries give complex pivots."""
+    nonreal = st.builds(GaussianRational, fractions, fractions.filter(bool))
+    entries = data.draw(st.lists(st.one_of(nonreal, st.builds(GaussianRational, fractions)),
+                                 min_size=n * n, max_size=n * n))
+    if leading_zero and n > 1:
+        entries[0] = ZERO
+    rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+    assert det(DenseMatrix.from_rows(rows, GQ)) == ref_det(rows)
+
+
+def test_det_fixed_swap_and_complex_pivot_chain():
+    i = GaussianRational(0, 1)
+    rows = [[ZERO, 1 + i, GaussianRational(2)],
+            [i, GaussianRational(3), ZERO],
+            [GaussianRational(1), ZERO, 2 - i]]
+    m = DenseMatrix.from_rows(rows, GQ)
+    assert det(m) == ref_det(rows) == GaussianRational(-5, -3)

@@ -106,6 +106,34 @@ def test_tensor_entry_outside_set_is_parse_error():
         sz.tensor_from_json(obj)
 
 
+def test_repeated_entries_are_parse_errors():
+    dom = sz.index_set_to_json(IndexSet.rectangular((2,)))
+    one, two = {"re": "1/1", "im": "0/1"}, {"re": "2/1", "im": "0/1"}
+    tensor = {"index_set": dom, "scalar": "gq",
+              "entries": [{"row": [1], "col": [0], "value": one},
+                          {"row": [0], "col": [0], "value": one},
+                          {"row": [1], "col": [0], "value": two}]}
+    with pytest.raises(ParseError, match=r"tensor\.entries\[2\]: repeats row \[1\], col \[0\]"):
+        sz.tensor_from_json(tensor)
+    vector = {"index_set": dom, "scalar": "gq",
+              "entries": [{"point": [1], "value": one}, {"point": [1], "value": two}]}
+    with pytest.raises(ParseError, match=r"vector\.entries\[1\]: repeats point \[1\]"):
+        sz.tensor_vector_from_json(vector)
+
+
+def test_json_booleans_are_not_integers():
+    with pytest.raises(ParseError, match="matrix.rows"):
+        sz.matrix_from_json({"rows": True, "cols": True, "scalar": "gq",
+                             "data": [[{"re": "1/1", "im": "0/1"}]]})
+    dom = IndexSet.rectangular((2,))
+    with pytest.raises(ParseError, match=r"pairs\[0\]\.value"):
+        sz.index_map_from_json({"kind": "table", "pairs": [
+            {"point": [0], "value": False}, {"point": [1], "value": 1}]}, dom)
+    with pytest.raises(ParseError, match=r"blocks\[0\]\.size"):
+        sz.jordan_spec_from_json({"blocks": [{"size": True, "eigenvalue":
+                                              {"re": "1/1", "im": "0/1"}}]})
+
+
 def test_jordan_spec_round_trip():
     s = JordanSpec([(2, gq("1/2", "-1/3")), (1, gq(0))])
     back = sz.jordan_spec_from_json(sz.jordan_spec_to_json(s))

@@ -6,9 +6,10 @@ from stretchkit.errors import DomainError, PermutationDomainError
 from stretchkit.indexing import IndexMap, IndexSet, Permutation
 from stretchkit.jordan import jordan_block
 from stretchkit.linalg import (DenseMatrix, det, entry_multiset,
-                               frobenius_norm_sq, mat_mul, mat_vec)
+                               frobenius_norm_sq, mat_mul, mat_vec,
+                               permutation_matrix)
 from stretchkit.scalars import GQ, gq
-from stretchkit.stretching import (check_tp_witness, kappa,
+from stretchkit.stretching import (SimilarityWitness, check_tp_witness, kappa,
                                    kernel_preservation_check, permute_stretch,
                                    stretch, stretch_vector,
                                    tp_similarity_witness,
@@ -293,6 +294,19 @@ def test_tp_witness_random_tables():
         dom = IndexSet.rectangular(dims)
         f = rand_injective_table(rng, dom)
         assert check_tp_witness(f, tp_similarity_witness(f))
+
+
+def test_tp_witness_with_two_swapped_entries_is_rejected():
+    dom = IndexSet.rectangular((2, 3))
+    f = rand_injective_table(random.Random(21), dom)
+    perm = list(tp_similarity_witness(f).perm)
+    perm[1], perm[4] = perm[4], perm[1]
+    swapped = SimilarityWitness(tuple(perm), permutation_matrix(perm, GQ))
+    assert not check_tp_witness(f, swapped)
+    # -U conjugates like U, but it is not a permutation matrix.
+    good = tp_similarity_witness(f)
+    negated = DenseMatrix(GQ, 6, 6, [-v for v in good.matrix.data])
+    assert not check_tp_witness(f, SimilarityWitness(good.perm, negated))
 
 
 def test_tp_witness_rejects_non_injective_and_non_rectangular():
