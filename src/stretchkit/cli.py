@@ -21,7 +21,7 @@ from .scalars import GQ
 from .stretching import (check_tp_witness, kappa, permute_stretch, stretch,
                          stretch_vector, tp_similarity_witness)
 from .tensors import act, average, convolve
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, min_trials, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -256,9 +256,9 @@ def _cmd_tp_witness(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite not in SUITE_NAMES:
         raise ParseError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
-    # jordan takes 0 for its exhaustive cell grid; every other count is a trial count.
-    if args.trials < (0 if args.suite == "jordan" else 1):
-        raise ParseError(f"--trials must be at least 1, got {args.trials}")
+    least = min_trials(args.suite)
+    if args.trials < least:
+        raise ParseError(f"--trials must be at least {least}, got {args.trials}")
     seed = args.seed if args.seed is not None else _default_seed()
     report = run_suite(args.suite, args.trials, seed)
     _emit(report, args.out, args.pretty)

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import DimensionError, DomainError, VariantError
-from .linalg import DenseMatrix, kron, mat_mul, mat_scale, mat_sub, rank
-from .scalars import GQ, GaussianRational, coerce, gq, one, zero
+from .linalg import DenseMatrix, kron, power_nullities
+from .scalars import GQ, GaussianRational, coerce, gq, one, trusted, zero
 
 
 def _exact_eig(value) -> GaussianRational:
@@ -37,47 +37,60 @@ def _eig_key(e: GaussianRational):
 class JordanSpec:
     """Multiset of Jordan blocks (size, eigenvalue) in canonical order.
 
-    Blocks are sorted by eigenvalue (real part, then imaginary part) and by
-    descending size within one eigenvalue, so multiset equality is plain
-    sequence equality.
+    Stored as ``counts``: distinct blocks with their multiplicities, sorted by
+    eigenvalue (real part, then imaginary part) and by descending size within
+    one eigenvalue, so multiset equality is plain sequence equality.  The
+    cost of a spec follows its distinct blocks, not its block total.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("counts",)
 
     def __init__(self, blocks):
-        canon = []
+        tally = {}
         for size, eig in blocks:
             size = int(size)
             if size < 1:
                 raise DimensionError("Jordan block sizes must be positive")
-            canon.append((size, _exact_eig(eig)))
-        canon.sort(key=lambda b: (_eig_key(b[1]), -b[0]))
-        self.blocks = tuple(canon)
-        if not self.blocks:
+            sizes = tally.setdefault(_exact_eig(eig), {})
+            sizes[size] = sizes.get(size, 0) + 1
+        if not tally:
             raise DimensionError("a Jordan spec needs at least one block")
+        self.counts = _canonical(tally)
 
     @classmethod
     def single(cls, size, eig) -> "JordanSpec":
         return cls([(size, eig)])
 
     @property
+    def blocks(self):
+        """Every block, repeated by its count, in canonical order."""
+        return tuple(block for block, count in self.counts for _ in range(count))
+
+    @property
     def dimension(self) -> int:
-        return sum(size for size, _ in self.blocks)
+        return sum(size * count for (size, _), count in self.counts)
 
     def eigenvalues(self):
-        return tuple(sorted({eig for _, eig in self.blocks}, key=_eig_key))
+        return tuple(sorted({eig for (_, eig), _ in self.counts}, key=_eig_key))
 
     def __eq__(self, other):
         if not isinstance(other, JordanSpec):
             return NotImplemented
-        return self.blocks == other.blocks
+        return self.counts == other.counts
 
     def __hash__(self):
-        return hash(self.blocks)
+        return hash(self.counts)
 
     def __repr__(self):
         inner = " + ".join(f"J{size}({eig})" for size, eig in self.blocks)
         return f"JordanSpec({inner})"
+
+
+def _canonical(tally) -> tuple:
+    """Canonical ``counts`` of a {eigenvalue: {size: count}} tally."""
+    return tuple(((size, eig), sizes[size]) for eig, sizes in
+                 sorted(tally.items(), key=lambda es: _eig_key(es[0]))
+                 for size in sorted(sizes, reverse=True))
 
 
 def jordan_block(size: int, eig, kind=GQ) -> DenseMatrix:
@@ -86,29 +99,29 @@ def jordan_block(size: int, eig, kind=GQ) -> DenseMatrix:
         raise DimensionError("Jordan block sizes must be positive")
     eig = _exact_eig(eig) if kind == GQ else coerce(eig, kind)
     z, o = zero(kind), one(kind)
-    data = [[z] * size for _ in range(size)]
-    for i in range(size):
-        data[i][i] = eig
-        if i + 1 < size:
-            data[i][i + 1] = o
-    return DenseMatrix.from_rows(data, kind)
+    data = [eig if j == i else o if j == i + 1 else z
+            for i in range(size) for j in range(size)]
+    return DenseMatrix(kind, size, size, data)
+
+
+def _cells(spec: JordanSpec):
+    """(start, size, eigenvalue) of each block, in canonical order."""
+    start = 0
+    for size, eig in spec.blocks:
+        yield start, size, eig
+        start += size
 
 
 def spec_matrix(spec: JordanSpec, kind=GQ) -> DenseMatrix:
     """Direct sum of the spec's blocks, in canonical order."""
     n = spec.dimension
-    z = zero(kind)
-    rows = [[z] * n for _ in range(n)]
-    offset = 0
-    for size, eig in spec.blocks:
-        cell = jordan_block(size, eig, kind)
+    data = [zero(kind)] * (n * n)
+    for start, size, eig in _cells(spec):
+        cell = jordan_block(size, eig, kind).data
         for i in range(size):
-            for j in range(size):
-                v = cell.at(i, j)
-                if v:
-                    rows[offset + i][offset + j] = v
-        offset += size
-    return DenseMatrix.from_rows(rows, kind)
+            row = (start + i) * n + start
+            data[row:row + size] = cell[i * size:(i + 1) * size]
+    return DenseMatrix(kind, n, n, data)
 
 
 def jordan_pair(p: int, a, q: int, b) -> JordanSpec:
@@ -118,29 +131,29 @@ def jordan_pair(p: int, a, q: int, b) -> JordanSpec:
     a = _exact_eig(a)
     b = _exact_eig(b)
     lo = min(p, q)
-    z = gq(0)
     if a and b:
-        ab = a * b
-        blocks = [(p + q - 2 * k + 1, ab) for k in range(1, lo + 1)]
-    elif a and not b:
-        blocks = [(q, z)] * p
-    elif b and not a:
-        blocks = [(p, z)] * q
+        eig, sizes = a * b, {p + q - 2 * k + 1: 1 for k in range(1, lo + 1)}
+    elif a:
+        eig, sizes = gq(0), {q: p}
+    elif b:
+        eig, sizes = gq(0), {p: q}
     else:
-        blocks = []
-        for k in range(1, lo):
-            blocks.extend([(k, z), (k, z)])
-        blocks.extend([(lo, z)] * (abs(p - q) + 1))
-    return JordanSpec(blocks)
+        eig, sizes = gq(0), {k: 2 for k in range(1, lo)}
+        sizes[lo] = abs(p - q) + 1
+    return trusted(JordanSpec, counts=_canonical({eig: sizes}))
 
 
 def jordan_product(s1: JordanSpec, s2: JordanSpec) -> JordanSpec:
-    """Distribute over direct sums: resolve every block pair and merge."""
-    blocks = []
-    for p, a in s1.blocks:
-        for q, b in s2.blocks:
-            blocks.extend(jordan_pair(p, a, q, b).blocks)
-    return JordanSpec(blocks)
+    """Distribute over direct sums: resolve each distinct block pair once and
+    add its blocks with the product of the two counts."""
+    tally = {}
+    for (p, a), m in s1.counts:
+        for (q, b), n in s2.counts:
+            pair = jordan_pair(p, a, q, b).counts
+            sizes = tally.setdefault(pair[0][0][1], {})
+            for (size, _), k in pair:
+                sizes[size] = sizes.get(size, 0) + m * n * k
+    return trusted(JordanSpec, counts=_canonical(tally))
 
 
 def jordan_nfold(specs) -> JordanSpec:
@@ -158,48 +171,22 @@ def explicit_pair_matrix(c: JordanSpec, d: JordanSpec) -> DenseMatrix:
     first factor's superdiagonals at offset +1, the second factor's at
     offset +M (M = dimension of the first sum), and their overlap at +M+1.
     """
-    mu = [size for size, _ in c.blocks]
-    a_eigs = [eig for _, eig in c.blocks]
-    nu = [size for size, _ in d.blocks]
-    b_eigs = [eig for _, eig in d.blocks]
-    m_dim = sum(mu)
-    n_dim = sum(nu)
-    dim = m_dim * n_dim
-    z = zero(GQ)
-    o = one(GQ)
-    data = [z] * (dim * dim)
-
-    def add(r, col, v):
-        data[r * dim + col] = data[r * dim + col] + v
-
-    mu_start = [0]
-    for size in mu:
-        mu_start.append(mu_start[-1] + size)
-    nu_start = [0]
-    for size in nu:
-        nu_start.append(nu_start[-1] + size)
-
-    for u, a in enumerate(a_eigs):
-        rows_u = range(mu_start[u], mu_start[u + 1])
-        for v, b in enumerate(b_eigs):
-            rows_v = range(nu_start[v], nu_start[v + 1])
-            ab = a * b
-            for i in rows_u:
-                for j in rows_v:
-                    if ab:
-                        add(i + m_dim * j, i + m_dim * j, ab)
-            for i in rows_u[:-1]:
-                for j in rows_v:
-                    if b:
-                        add(i + m_dim * j, i + m_dim * j + 1, b)
-            for i in rows_u:
-                for j in rows_v[:-1]:
-                    if a:
-                        add(i + m_dim * j, i + m_dim * j + m_dim, a)
-            for i in rows_u[:-1]:
-                for j in rows_v[:-1]:
-                    add(i + m_dim * j, i + m_dim * j + m_dim + 1, o)
-
+    m_dim = c.dimension
+    dim = m_dim * d.dimension
+    data = [zero(GQ)] * (dim * dim)
+    for u, p, a in _cells(c):
+        for v, q, b in _cells(d):
+            for i in range(u, u + p):
+                for j in range(v, v + q):
+                    # Row i + M*j meets its four units at distinct columns.
+                    at = (i + m_dim * j) * (dim + 1)
+                    data[at] = a * b
+                    if i + 1 < u + p:
+                        data[at + 1] = b
+                    if j + 1 < v + q:
+                        data[at + m_dim] = a
+                        if i + 1 < u + p:
+                            data[at + m_dim + 1] = one(GQ)
     labels = tuple(range(dim))
     return DenseMatrix(GQ, dim, dim, data, row_labels=labels, col_labels=labels)
 
@@ -215,10 +202,7 @@ class JordanOracleResult:
         self.dimension = dimension
 
     def spec(self) -> JordanSpec:
-        blocks = []
-        for eig, _, sizes in self.eigen_data:
-            blocks.extend((size, eig) for size in sizes)
-        return JordanSpec(blocks)
+        return JordanSpec((size, eig) for eig, _, sizes in self.eigen_data for size in sizes)
 
     def weyr(self, eig):
         eig = _exact_eig(eig)
@@ -245,33 +229,24 @@ def jordan_oracle(m: DenseMatrix, eigenvalues) -> JordanOracleResult:
         raise DimensionError("the Jordan oracle requires a square matrix")
     n = m.n_rows
     eigs = sorted({_exact_eig(e) for e in eigenvalues}, key=_eig_key)
-    eye = DenseMatrix.identity(n, GQ)
     eigen_data = []
     covered = 0
     for eig in eigs:
-        shifted = mat_sub(m, mat_scale(eig, eye))
-        weyr = []
-        prev = 0
-        power = shifted
-        while True:
-            nullity = n - rank(power)
+        weyr = [0]
+        for nullity in power_nullities(m, eig):
+            stop = nullity in (weyr[-1], n) or len(weyr) > n
             weyr.append(nullity)
-            if nullity == prev or nullity == n or len(weyr) > n:
+            if stop:
                 break
-            prev = nullity
-            power = mat_mul(power, shifted)
-        counts_geq = [weyr[i] - (weyr[i - 1] if i else 0) for i in range(len(weyr))]
-        if any(counts_geq[i] < counts_geq[i + 1] for i in range(len(counts_geq) - 1)):
+        # geq[k - 1] counts the blocks of size at least k.
+        geq = [b - a for a, b in zip(weyr, weyr[1:])] + [0]
+        if any(x < y for x, y in zip(geq, geq[1:])):
             raise DomainError("Weyr differences increased; not a nullity sequence")
-        sizes = []
-        for k in range(1, len(counts_geq) + 1):
-            here = counts_geq[k - 1]
-            nxt = counts_geq[k] if k < len(counts_geq) else 0
-            sizes.extend([k] * (here - nxt))
-        sizes.sort(reverse=True)
+        sizes = tuple(k for k in range(len(geq) - 1, 0, -1)
+                      for _ in range(geq[k - 1] - geq[k]))
         covered += weyr[-1]
         if sizes:
-            eigen_data.append((eig, tuple(weyr), tuple(sizes)))
+            eigen_data.append((eig, tuple(weyr[1:]), sizes))
     if covered != n:
         raise DomainError(
             f"eigenvalue set covers dimension {covered} of {n}; an eigenvalue is missing")
@@ -280,8 +255,7 @@ def jordan_oracle(m: DenseMatrix, eigenvalues) -> JordanOracleResult:
 
 def nfold_product_matrix(specs) -> DenseMatrix:
     """Kronecker product (first factor fastest) of the specs' matrices."""
-    mats = [spec_matrix(s, GQ) for s in specs]
-    return reduce(kron, mats)
+    return reduce(kron, [spec_matrix(s, GQ) for s in specs])
 
 
 def nfold_eigenvalues(specs):

@@ -1,9 +1,10 @@
 """Dense matrices and vectors over a single scalar kind.
 
 The kernel is deliberately small: product, Kronecker product, determinant,
-rank and nullity sequences.  Exact ("gq") determinants run on integer-scaled
-arrays (Bareiss on Gaussian integers), exact rank and inverse on fraction-free
-or fraction-exact elimination; float ("cf64") data through pivoted LU.
+rank and nullity sequences.  Exact ("gq") determinants, ranks and nullity
+sequences run on integer-scaled Gaussian-integer arrays (Bareiss and
+fraction-free elimination), the exact inverse on Fraction elimination; float
+("cf64") data through pivoted LU.
 Row and column labels are carried verbatim and never interpreted here.
 """
 from __future__ import annotations
@@ -285,75 +286,106 @@ def det(a: DenseMatrix):
     return _det_bareiss(a) if a.kind == GQ else _det_lu(a)
 
 
-def _as_int_rows(a: DenseMatrix):
-    """Rows of plain ints when every entry is a rational integer, else None."""
-    rows = []
-    row = []
-    for idx, v in enumerate(a.data):
-        if v.im or v.re.denominator != 1:
-            return None
-        if idx % a.n_cols == 0 and idx:
-            rows.append(row)
-            row = []
-        row.append(v.re.numerator)
-    rows.append(row)
-    return rows
+def _gauss_rows(data, n_cols):
+    """Gaussian-integer rows ``{col: (re, im)}`` of den * data, zeros left out."""
+    _, re, im = to_scaled(data)
+    return [{j: (re[k + j], im[k + j]) for j in range(n_cols) if re[k + j] or im[k + j]}
+            for k in range(0, len(re), n_cols)]
 
 
-def _rank_int(rows, n_rows, n_cols) -> int:
-    """Integer fraction-free elimination with per-row gcd reduction."""
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, n_rows):
-            q = rows[i][c]
-            if q:
-                ri, rr = rows[i], rows[r]
-                new = [ri[j] * p - q * rr[j] for j in range(n_cols)]
-                g = 0
-                for v in new:
-                    g = gcd(g, v)
-                if g > 1:
-                    new = [v // g for v in new]
-                rows[i] = new
-        r += 1
-        if r == n_rows:
-            break
-    return r
+def _gcd_gauss(ar, ai, br, bi):
+    """A gcd of ar + ai*i and br + bi*i in Z[i] (Euclid, rounded quotients)."""
+    while br or bi:
+        n = br * br + bi * bi
+        xr, xi = ar * br + ai * bi, ai * br - ar * bi
+        qr, qi = (2 * xr + n) // (2 * n), (2 * xi + n) // (2 * n)
+        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return ar, ai
 
 
-def _rank_exact(rows, n_rows, n_cols) -> int:
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, n_rows):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                ri, rr = rows[i], rows[r]
-                for j in range(c, n_cols):
-                    ri[j] = ri[j] - f * rr[j]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+def _primitive(cols, re, im) -> dict:
+    """Row ``{col: (re, im)}`` divided by the gcd of its entries in Z[i].
+
+    The integer gcd goes first.  The Gaussian part of the content divides
+    the gcd of the entry norms, so Euclid starts from that integer; it skips
+    entries the running gcd already divides and stops at a unit.
+    """
+    g = gcd(*re, *im)
+    if g > 1:
+        re, im = [x // g for x in re], [y // g for y in im]
+    if any(im):
+        gr, gi = gcd(*[x * x + y * y for x, y in zip(re, im)]), 0
+        n = gr * gr
+        for x, y in zip(re, im):
+            if n == 1:
+                break
+            if (x * gr + y * gi) % n or (y * gr - x * gi) % n:
+                gr, gi = _gcd_gauss(gr, gi, x, y)
+                n = gr * gr + gi * gi
+        else:
+            re, im = ([(x * gr + y * gi) // n for x, y in zip(re, im)],
+                      [(y * gr - x * gi) // n for x, y in zip(re, im)])
+    return {j: (x, y) for j, x, y in zip(cols, re, im) if x or y}
+
+
+def _rank_gauss(rows) -> int:
+    """Rank of Gaussian-integer rows (``{col: (re, im)}`` dicts, left intact).
+
+    Fraction-free elimination, one row at a time: a row whose leading column
+    already has a pivot row is replaced by p*row - q*pivot_row (p the pivot
+    entry, q the row's leading entry), divided by the gcd of its entries;
+    otherwise it becomes that column's pivot row.  Each kept row is the
+    primitive part of a row of minors of the matrix, so entries stay bounded.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = row
+                break
+            (pr, pi), (qr, qi) = piv[c], row[c]
+            cols = (row.keys() | piv.keys()) - {c}
+            re, im = [], []
+            for j in cols:
+                a, b = row.get(j, (0, 0))
+                e, f = piv.get(j, (0, 0))
+                re.append(pr * a - pi * b - qr * e + qi * f)
+                im.append(pr * b + pi * a - qr * f - qi * e)
+            row = _primitive(cols, re, im)
+    return len(pivots)
 
 
 def rank(a: DenseMatrix) -> int:
     """Exact rank; only defined for 'gq' matrices."""
     if a.kind != GQ:
         raise VariantError("rank requires exact ('gq') entries")
-    int_rows = _as_int_rows(a)
-    if int_rows is not None:
-        return _rank_int(int_rows, a.n_rows, a.n_cols)
-    return _rank_exact(a.to_rows(), a.n_rows, a.n_cols)
+    return _rank_gauss(_gauss_rows(a.data, a.n_cols))
+
+
+def power_nullities(a: DenseMatrix, lam):
+    """Yield nullity((a - lam*I)^k) for k = 1, 2, ...; 'gq' square ``a``.
+
+    S = den * (a - lam*I) becomes Gaussian-integer rows once; scaling changes
+    no rank, so the k-th nullity is that of S^k.  Each power is S times the
+    previous one, summed over the nonzeros only: the matrices of Jordan
+    products and their powers are sparse.
+    """
+    n = a.n_rows
+    shift = _gauss_rows([v - lam if k % (n + 1) == 0 else v for k, v in enumerate(a.data)], n)
+    power = shift
+    while True:
+        yield n - _rank_gauss(power)
+        nxt = []
+        for row in shift:
+            acc = {}
+            for t, (sr, si) in row.items():
+                for j, (u, v) in power[t].items():
+                    x, y = acc.get(j, (0, 0))
+                    acc[j] = (x + sr * u - si * v, y + sr * v + si * u)
+            nxt.append({j: xy for j, xy in acc.items() if xy != (0, 0)})
+        power = nxt
 
 
 def nullity_sequence(a: DenseMatrix, lam, k_max: int):
@@ -364,15 +396,7 @@ def nullity_sequence(a: DenseMatrix, lam, k_max: int):
         raise DimensionError("nullity_sequence requires a square matrix")
     if k_max < 1:
         raise DimensionError("k_max must be at least 1")
-    n = a.n_rows
-    shift = mat_sub(a, mat_scale(coerce(lam, GQ), DenseMatrix.identity(n, GQ)))
-    power = shift
-    seq = []
-    for k in range(k_max):
-        seq.append(n - rank(power))
-        if k + 1 < k_max:
-            power = mat_mul(power, shift)
-    return seq
+    return [v for _, v in zip(range(k_max), power_nullities(a, coerce(lam, GQ)))]
 
 
 def inverse(a: DenseMatrix) -> DenseMatrix:

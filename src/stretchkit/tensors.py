@@ -12,8 +12,15 @@ from operator import mul
 
 from .errors import DimensionError, DomainError, VariantError
 from .indexing import IndexMap, IndexSet, class_fold
-from .scalars import (GQ, close, coerce, from_scaled, one, scaled, to_scaled,
-                      trusted, zero)
+from .scalars import (GQ, KINDS, close, coerce, from_scaled, one, scaled,
+                      to_scaled, trusted, zero)
+
+
+def _zero(kind):
+    """Zero of ``kind``, which must be a known scalar kind."""
+    if kind not in KINDS:
+        raise VariantError(f"unknown scalar kind {kind!r}")
+    return zero(kind)
 
 
 class Tensor:
@@ -34,10 +41,10 @@ class Tensor:
     def from_entries(cls, domain, kind, entries) -> "Tensor":
         """Build from {(row_point, col_point): value}; missing entries are zero."""
         n = len(domain)
-        data = [zero(kind)] * (n * n)
+        data = [_zero(kind)] * (n * n)
         for (pi, pj), v in dict(entries).items():
             data[domain.position(pi) * n + domain.position(pj)] = coerce(v, kind)
-        return cls(domain, kind, data)
+        return trusted(cls, domain=domain, kind=kind, data=tuple(data))
 
     @classmethod
     def unit(cls, domain, pi, pj, kind=GQ) -> "Tensor":
@@ -83,10 +90,10 @@ class TensorVector:
 
     @classmethod
     def from_entries(cls, domain, kind, entries) -> "TensorVector":
-        data = [zero(kind)] * len(domain)
+        data = [_zero(kind)] * len(domain)
         for p, v in dict(entries).items():
             data[domain.position(p)] = coerce(v, kind)
-        return cls(domain, kind, data)
+        return trusted(cls, domain=domain, kind=kind, data=tuple(data))
 
     def at(self, point):
         return self.data[self.domain.position(point)]

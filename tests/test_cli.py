@@ -2,12 +2,16 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from stretchkit import serialize as sz
 from stretchkit.cli import main
+from stretchkit.errors import DomainError
 from stretchkit.jordan import JordanSpec
 from stretchkit.linalg import DenseMatrix
 from stretchkit.scalars import GQ
 from stretchkit.tensors import pure_tensor
+from stretchkit.verify import SUITE_NAMES, run_suite
 
 
 def run_cli(args, capsys):
@@ -242,6 +246,19 @@ def test_verify_trials_below_one_exits_2(capsys):
         assert err == f"parse error: --trials must be at least 1, got {trials}\n"
     code, out, _ = run_cli(["verify", "jordan", "--trials", "0"], capsys)
     assert code == 0 and json.loads(out)["trials"] == 0  # the exhaustive cell grid
+
+
+def test_run_suite_rejects_trial_counts_the_cli_rejects():
+    for suite in SUITE_NAMES:
+        with pytest.raises(DomainError):
+            run_suite(suite, -5, 0)
+        if suite != "jordan":
+            with pytest.raises(DomainError):
+                run_suite(suite, 0, 0)
+    report = run_suite("homomorphism", 1, 0)
+    assert report["trials"] == 1
+    assert all(c["details"]["trials"] == 1 for c in report["checks"])
+    assert run_suite("jordan", 0, 0)["checks"][0]["details"]["exhaustive"]
 
 
 def test_verify_seed_from_environment(capsys, monkeypatch):

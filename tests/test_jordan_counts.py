@@ -1,0 +1,252 @@
+"""Counted Jordan specs and the Gaussian-integer rank path, checked from outside.
+
+The references here are written out in full: the pairwise closed form and
+its expansion over every block pair, as lists of blocks, and Gaussian
+elimination with ``GaussianRational`` (Fraction) arithmetic.  None of them
+goes through ``JordanSpec.counts``, the integer power chain or the
+fraction-free elimination they check.
+"""
+import random
+import time
+from fractions import Fraction
+from functools import reduce
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stretchkit.jordan import (JordanSpec, jordan_nfold, jordan_oracle,
+                               jordan_product, nfold_eigenvalues,
+                               nfold_product_matrix, spec_matrix)
+from stretchkit.linalg import DenseMatrix, nullity_sequence, rank
+from stretchkit.scalars import GQ, GaussianRational, gq
+
+BIG = 2 ** 70
+DENOMINATORS = (1, 2, 3, 6, 7, 2 ** 61 - 1)
+ZERO = GaussianRational()
+EIGENVALUES = (gq(0), gq(1), gq(-2), gq(3), gq("1/2"), gq(0, 1), gq(1, -1),
+               gq("-3/2", "2/3"))
+
+
+# -- expanded references ----------------------------------------------------
+
+def ref_pair_blocks(p, a, q, b):
+    """Blocks of J_p(a) x J_q(b), one list entry per block."""
+    lo = min(p, q)
+    if a and b:
+        return [(p + q - 2 * k + 1, a * b) for k in range(1, lo + 1)]
+    if a:
+        return [(q, gq(0))] * p
+    if b:
+        return [(p, gq(0))] * q
+    blocks = []
+    for k in range(1, lo):
+        blocks += [(k, gq(0)), (k, gq(0))]
+    return blocks + [(lo, gq(0))] * (abs(p - q) + 1)
+
+
+def ref_canonical(blocks):
+    return tuple(sorted(blocks, key=lambda b: (b[1].re, b[1].im, -b[0])))
+
+
+def ref_product(blocks1, blocks2):
+    out = []
+    for p, a in blocks1:
+        for q, b in blocks2:
+            out += ref_pair_blocks(p, a, q, b)
+    return ref_canonical(out)
+
+
+def ref_rank(rows):
+    """Gaussian elimination over Q(i) with GaussianRational arithmetic."""
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def ref_mul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), ZERO)
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def ref_nullities(rows, lam, k_max):
+    n = len(rows)
+    shift = [[v - lam if i == j else v for j, v in enumerate(row)]
+             for i, row in enumerate(rows)]
+    power, out = shift, []
+    for _ in range(k_max):
+        out.append(n - ref_rank(power))
+        power = ref_mul(power, shift)
+    return out
+
+
+# -- strategies ---------------------------------------------------------------
+
+fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-5, 5), st.sampled_from(DENOMINATORS)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.sampled_from(DENOMINATORS)))
+entries = st.one_of(st.just(ZERO), st.builds(GaussianRational, fractions, fractions),
+                    st.builds(GaussianRational, st.just(Fraction(0)), fractions))
+block_lists = st.lists(st.tuples(st.integers(1, 4), st.sampled_from(EIGENVALUES)),
+                       min_size=1, max_size=5)
+
+
+def matrix(draw, n, m):
+    return DenseMatrix(GQ, n, m, draw(st.lists(entries, min_size=n * m, max_size=n * m)))
+
+
+# -- counted specs --------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(block_lists)
+def test_spec_expands_to_the_sorted_block_list(blocks):
+    spec = JordanSpec(blocks)
+    assert spec.blocks == ref_canonical(blocks)
+    assert sum(count for _, count in spec.counts) == len(blocks)
+    assert len(spec.counts) == len(set(blocks))
+    assert spec.dimension == sum(size for size, _ in blocks)
+    assert spec == JordanSpec(reversed(blocks))
+    assert hash(spec) == hash(JordanSpec(reversed(blocks)))
+    assert repr(spec) == "JordanSpec(" + " + ".join(
+        f"J{size}({eig})" for size, eig in ref_canonical(blocks)) + ")"
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_lists, block_lists)
+def test_counted_product_matches_the_expanded_pairwise_loop(b1, b2):
+    got = jordan_product(JordanSpec(b1), JordanSpec(b2))
+    expected = ref_product(b1, b2)
+    assert got.blocks == expected
+    assert got == JordanSpec(expected)
+    assert got.eigenvalues() == tuple(sorted({e for _, e in expected},
+                                             key=lambda e: (e.re, e.im)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(EIGENVALUES)),
+                         min_size=1, max_size=3), min_size=1, max_size=4))
+def test_counted_nfold_matches_the_expanded_fold(factors):
+    expected = reduce(ref_product, factors[1:], ref_canonical(factors[0]))
+    assert jordan_nfold([JordanSpec(b) for b in factors]).blocks == expected
+
+
+def test_eight_fold_stays_small_and_fast():
+    base = JordanSpec([(3, 2), (2, 0), (1, 1)])
+    start = time.perf_counter()
+    spec = jordan_nfold([base] * 8)
+    elapsed = time.perf_counter() - start
+    assert sum(count for _, count in spec.counts) == 1_301_861
+    assert len(spec.counts) == 46
+    assert spec.dimension == 6 ** 8
+    assert elapsed < 0.5, elapsed
+
+
+# -- rank and the oracle ------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(1, 6))
+def test_rank_matches_fraction_elimination(data, n, m):
+    a = matrix(data.draw, n, m)
+    assert rank(a) == ref_rank(a.to_rows())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 6), st.integers(2, 6), st.integers(1, 3))
+def test_rank_of_deficient_products(data, n, m, k):
+    a = DenseMatrix(GQ, n, k, data.draw(st.lists(entries, min_size=n * k, max_size=n * k)))
+    b = DenseMatrix(GQ, k, m, data.draw(st.lists(entries, min_size=k * m, max_size=k * m)))
+    prod = DenseMatrix.from_rows(ref_mul(a.to_rows(), b.to_rows()), GQ)
+    assert rank(prod) == ref_rank(prod.to_rows()) <= k
+
+
+def test_dense_gaussian_ranks_stay_exact_and_bounded():
+    # Row gcds over the Gaussian integers keep entries bounded: with integer
+    # gcds alone, the full-rank 24x24 case does not finish in minutes.
+    rng = random.Random(3)
+
+    def rand(rows, cols):
+        return [[gq(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                 for _ in range(cols)] for _ in range(rows)]
+    full = rand(24, 24)
+    deficient = ref_mul(rand(24, 20), rand(20, 24))
+    for rows, expected in ((full, 24), (deficient, 20)):
+        assert rank(DenseMatrix.from_rows(rows, GQ)) == ref_rank(rows) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 5), st.sampled_from(EIGENVALUES))
+def test_nullity_sequence_matches_fraction_powers(data, n, lam):
+    a = matrix(data.draw, n, n)
+    assert nullity_sequence(a, lam, 3) == ref_nullities(a.to_rows(), lam, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), block_lists.filter(lambda b: sum(s for s, _ in b) <= 6))
+def test_oracle_on_conjugated_specs(data, blocks):
+    spec = JordanSpec(blocks)
+    n = spec.dimension
+    # Unit upper and lower triangular factors: invertible, dense, non-real.
+    upper = [[gq(1) if i == j else data.draw(entries) if j > i else ZERO
+              for j in range(n)] for i in range(n)]
+    lower = [[gq(1) if i == j else data.draw(entries) if j < i else ZERO
+              for j in range(n)] for i in range(n)]
+    p = ref_mul(upper, lower)
+    p_inv = ref_inverse(p)
+    m = ref_mul(ref_mul(p, spec_matrix(spec).to_rows()), p_inv)
+    result = jordan_oracle(DenseMatrix.from_rows(m, GQ), spec.eigenvalues())
+    assert result.spec() == spec
+    for eig in spec.eigenvalues():
+        weyr = result.weyr(eig)
+        assert list(weyr) == ref_nullities(m, eig, len(weyr))
+
+
+def ref_inverse(rows):
+    n = len(rows)
+    aug = [list(r) + [gq(1) if i == j else ZERO for j in range(n)]
+           for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        pv = aug[c][c]
+        aug[c] = [v / pv for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def test_three_factor_folds_up_to_dimension_60_with_gaussian_eigenvalues():
+    # Criterion 5 caps its random folds at dimension 24; these reach 60, with
+    # non-real Gaussian-rational eigenvalues next to nilpotent blocks.
+    rng = random.Random(2024)
+    done = 0
+    while done < 24:
+        specs = []
+        for _ in range(3):
+            dim, blocks = rng.randint(2, 5), []
+            while dim > 0:
+                size = rng.randint(1, dim)
+                eig = gq(0) if rng.random() < 0.25 else gq(
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                    Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)))
+                blocks.append((size, eig))
+                dim -= size
+            specs.append(JordanSpec(blocks))
+        total = specs[0].dimension * specs[1].dimension * specs[2].dimension
+        if not 24 < total <= 60:
+            continue
+        closed = jordan_nfold(specs)
+        oracle = jordan_oracle(nfold_product_matrix(specs), nfold_eigenvalues(specs))
+        assert closed == oracle.spec(), specs
+        done += 1

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from stretchkit import tensors
 from stretchkit.errors import DomainError, VariantError
 from stretchkit.indexing import IndexMap, IndexSet
 from stretchkit.linalg import DenseMatrix, mat_mul
-from stretchkit.scalars import CF64, GQ, gq
+from stretchkit.scalars import CF64, GQ, coerce, gq
 from stretchkit.tensors import (Tensor, TensorVector, act, average, convolve,
                                 identity_tensor, pure_tensor, star)
 from stretchkit.verify import (rand_map, rand_matrix, rand_rect_set,
@@ -262,3 +263,22 @@ def test_domain_and_kind_mismatches_raise():
         convolve(t, identity_tensor(dom, CF64), f)
     with pytest.raises(DomainError):
         act(identity_tensor(other, GQ), TensorVector.zeros(other, GQ), f)
+
+
+def test_from_entries_coerces_each_given_entry_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tensors, "coerce", lambda v, kind: calls.append(v) or coerce(v, kind))
+    dom = IndexSet.rectangular((4, 4))
+    t = Tensor.from_entries(dom, GQ, {((0, 0), (1, 1)): 2, ((3, 3), (0, 2)): gq(1, -1)})
+    assert len(calls) == 2
+    assert t.at((0, 0), (1, 1)) == gq(2) and t.at((3, 3), (0, 2)) == gq(1, -1)
+    assert sum(1 for v in t.data if v) == 2 and len(t.data) == 16 ** 2
+    x = TensorVector.from_entries(dom, CF64, {(1, 2): 1.5})
+    assert x.at((1, 2)) == 1.5 + 0j and x.at((0, 0)) == 0j
+    # Validation is unchanged: a float in exact data and an unknown kind.
+    with pytest.raises(VariantError):
+        Tensor.from_entries(dom, GQ, {((0, 0), (1, 1)): 0.5})
+    with pytest.raises(VariantError):
+        TensorVector.from_entries(dom, GQ, {(1, 2): 0.5})
+    with pytest.raises(VariantError):
+        Tensor.from_entries(dom, "q64", {})
