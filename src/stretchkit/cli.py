@@ -9,6 +9,7 @@ set, 5 scalar-variant error.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -281,6 +282,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # A command builds large acyclic JSON trees and tensors, which the cyclic
+    # collector would only traverse again and again; refcounting frees them.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _HANDLERS[args.command](args)
     except ParseError as exc:
@@ -295,6 +300,9 @@ def main(argv=None) -> int:
     except VariantError as exc:
         print(f"scalar variant error: {exc}", file=sys.stderr)
         return EXIT_VARIANT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -112,16 +112,16 @@ def _cells(spec: JordanSpec):
         start += size
 
 
-def spec_matrix(spec: JordanSpec, kind=GQ) -> DenseMatrix:
-    """Direct sum of the spec's blocks, in canonical order."""
+def spec_matrix(spec: JordanSpec) -> DenseMatrix:
+    """Exact direct sum of the spec's blocks, in canonical order."""
     n = spec.dimension
-    data = [zero(kind)] * (n * n)
+    data = [zero(GQ)] * (n * n)
     for start, size, eig in _cells(spec):
-        cell = jordan_block(size, eig, kind).data
+        cell = jordan_block(size, eig).data
         for i in range(size):
             row = (start + i) * n + start
             data[row:row + size] = cell[i * size:(i + 1) * size]
-    return DenseMatrix(kind, n, n, data)
+    return DenseMatrix(GQ, n, n, data)
 
 
 def jordan_pair(p: int, a, q: int, b) -> JordanSpec:
@@ -255,7 +255,7 @@ def jordan_oracle(m: DenseMatrix, eigenvalues) -> JordanOracleResult:
 
 def nfold_product_matrix(specs) -> DenseMatrix:
     """Kronecker product (first factor fastest) of the specs' matrices."""
-    return reduce(kron, [spec_matrix(s, GQ) for s in specs])
+    return reduce(kron, [spec_matrix(s) for s in specs])
 
 
 def nfold_eigenvalues(specs):

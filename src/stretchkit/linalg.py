@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionError, VariantError
-from .scalars import CF64, GQ, close, coerce, one, scaled, to_scaled, zero
+from .scalars import (ABS_TOL, CF64, GQ, REL_TOL, coerce, data_close, one, scaled,
+                      to_scaled, zero)
 
 
 def _labels(labels, n, what):
@@ -454,9 +455,5 @@ def entry_multiset(a: DenseMatrix):
     return tuple(sorted(a.data, key=lambda v: (v.re, v.im)))
 
 
-def matrices_close(a: DenseMatrix, b: DenseMatrix, rel_tol=1e-9, abs_tol=1e-12) -> bool:
-    if (a.n_rows, a.n_cols) != (b.n_rows, b.n_cols) or a.kind != b.kind:
-        return False
-    if a.kind == GQ:
-        return a.data == b.data
-    return all(close(x, y, rel_tol, abs_tol) for x, y in zip(a.data, b.data))
+def matrices_close(a: DenseMatrix, b: DenseMatrix, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
+    return (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols) and data_close(a, b, rel_tol, abs_tol)

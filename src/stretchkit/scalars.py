@@ -228,3 +228,13 @@ def one(kind: str):
 def close(x: complex, y: complex, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> bool:
     """Float comparison with relative tolerance and an absolute floor."""
     return abs(x - y) <= max(abs_tol, rel_tol * max(abs(x), abs(y)))
+
+
+def data_close(a, b, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> bool:
+    """Whether two matrices, vectors or tensors of the same shape hold the same
+    ``kind`` and ``data``: equal entries if exact, :func:`close` ones if float."""
+    if a.kind != b.kind:
+        return False
+    if a.kind == GQ:
+        return a.data == b.data
+    return all(close(x, y, rel_tol, abs_tol) for x, y in zip(a.data, b.data))

@@ -1,9 +1,19 @@
 """JSON schemas for matrices, vectors, tensors, maps, sets and Jordan specs.
 
 All output is canonical: keys sorted, two-space indent, one trailing newline,
-exact values rendered as "p/q" strings in lowest terms.  Parse failures raise
-:class:`~stretchkit.errors.ParseError` with the offending field in the
-message.
+exact values rendered as "p/q" strings in lowest terms.  :func:`dumps` writes
+that text itself, byte for byte what ``json.dumps(obj, sort_keys=True,
+indent=2)`` plus a newline gives.  It does not call ``json.dumps`` because
+any ``indent`` switches CPython to its pure-Python encoder: :func:`dumps`
+joins strings per container instead, escapes strings with the C
+``encode_basestring_ascii`` and renders each distinct list of plain ints
+once per depth (a tensor repeats each row, column and point list n times).
+
+Parse failures raise :class:`~stretchkit.errors.ParseError` with the
+offending field in the message.  Tensor and vector entries take a fast path
+that builds no field paths; an entry it does not accept is checked again
+with the paths, which then name the failing field.  Within one tensor or
+vector each distinct exact value string pair is parsed once.
 """
 from __future__ import annotations
 
@@ -11,14 +21,16 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import ParseError, VariantError
+from .errors import DomainError, ParseError, VariantError
 from .indexing import IndexMap, IndexSet
 from .jordan import JordanSpec
 from .linalg import DenseMatrix, DenseVector
-from .scalars import GQ, KINDS, GaussianRational
+from .scalars import CF64, GQ, KINDS, GaussianRational
 from .tensors import Tensor, TensorVector
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_INT = frozenset((int,))
+_NUMBER = frozenset((int, float))
 
 
 def fraction_to_str(f: Fraction) -> str:
@@ -26,12 +38,14 @@ def fraction_to_str(f: Fraction) -> str:
 
 
 def fraction_from_str(text, path: str) -> Fraction:
-    if not isinstance(text, str) or not _FRACTION_RE.match(text):
+    match = _FRACTION_RE.match(text) if isinstance(text, str) else None
+    if match is None:
         raise ParseError(f"{path}: expected a fraction string like \"3/4\", got {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"{path}: zero denominator in {text!r}") from None
+    num, den = match.groups()
+    den = int(den or 1)
+    if not den:
+        raise ParseError(f"{path}: zero denominator in {text!r}")
+    return Fraction(int(num), den)
 
 
 def scalar_to_json(value, kind: str) -> dict:
@@ -206,24 +220,100 @@ def tensor_to_json(t: Tensor) -> dict:
             "entries": entries}
 
 
-def tensor_from_json(obj, path: str = "tensor") -> Tensor:
+def _pair_key(entry):
+    """``(row, col)`` of a tensor entry if both are lists of plain ints, else None."""
+    row, col = entry.get("row"), entry.get("col")
+    if type(row) is list and type(col) is list and _INT.issuperset(map(type, row + col)):
+        return tuple(row), tuple(col)
+    return None
+
+
+def _point_key(entry):
+    """``(point,)`` of a vector entry if it is a list of plain ints, else None."""
+    point = entry.get("point")
+    if type(point) is list and _INT.issuperset(map(type, point)):
+        return (tuple(point),)
+    return None
+
+
+_KEY_OF = {("row", "col"): _pair_key, ("point",): _point_key}
+
+
+def _value_parser(kind):
+    """Fast scalar parser for ``kind``: the value, or None where
+    :func:`scalar_from_json` might raise.  Exact values are parsed once per
+    distinct (re, im) string pair; one immutable value is shared."""
+    if kind == CF64:
+        def parse(obj):
+            if type(obj) is dict:
+                re_part, im_part = obj.get("re"), obj.get("im")
+                if type(re_part) in _NUMBER and type(im_part) in _NUMBER:
+                    return complex(re_part, im_part)
+            return None
+        return parse
+    memo = {}
+
+    def parse(obj):
+        if type(obj) is not dict:
+            return None
+        key = obj.get("re"), obj.get("im")
+        if type(key[0]) is not str or type(key[1]) is not str:
+            return None
+        value = memo.get(key)
+        if value is None:
+            try:
+                value = memo[key] = GaussianRational(fraction_from_str(key[0], "re"),
+                                                     fraction_from_str(key[1], "im"))
+            except ParseError:
+                return None
+        return value
+    return parse
+
+
+def _checked_entry(entry, i, fields, kind, path):
+    """Key and value of entry ``i`` through the checks that name the failing
+    field; raises the first failure."""
+    where = f"{path}.entries[{i}]"
+    key = tuple(tuple(_int_list(_require(entry, name, where), f"{where}.{name}"))
+                for name in fields)
+    return key, scalar_from_json(_require(entry, "value", where), kind, f"{where}.value")
+
+
+def _entries(obj, fields, path):
+    """Domain, kind and ``{(point, ...): value}`` of a tensor or vector
+    payload, one point per name in ``fields``; a repeated key is an error."""
     domain = index_set_from_json(_require(obj, "index_set", path), f"{path}.index_set")
     kind = _kind(obj, path)
+    key_of, value_of = _KEY_OF[fields], _value_parser(kind)
     entries = {}
     for i, entry in enumerate(_require(obj, "entries", path, list)):
-        row = tuple(_int_list(_require(entry, "row", f"{path}.entries[{i}]"),
-                              f"{path}.entries[{i}].row"))
-        col = tuple(_int_list(_require(entry, "col", f"{path}.entries[{i}]"),
-                              f"{path}.entries[{i}].col"))
-        value = scalar_from_json(_require(entry, "value", f"{path}.entries[{i}]"),
-                                 kind, f"{path}.entries[{i}].value")
-        if (row, col) in entries:
-            raise ParseError(f"{path}.entries[{i}]: repeats row {list(row)}, col {list(col)}")
-        entries[(row, col)] = value
+        key = value = None
+        if type(entry) is dict:
+            key, value = key_of(entry), value_of(entry.get("value"))
+        if key is None or value is None:
+            key, value = _checked_entry(entry, i, fields, kind, path)
+        if key in entries:
+            raise ParseError(f"{path}.entries[{i}]: repeats " + ", ".join(
+                f"{name} {list(point)}" for name, point in zip(fields, key)))
+        entries[key] = value
+    return domain, kind, entries
+
+
+def _outside(exc, domain, entries, fields, path):
+    """ParseError naming the first entry with a point outside ``domain``."""
+    for i, key in enumerate(entries):
+        for name, point in zip(fields, key):
+            if point not in domain:
+                return ParseError(f"{path}.entries[{i}].{name}: {exc}")
+    return exc
+
+
+def tensor_from_json(obj, path: str = "tensor") -> Tensor:
+    domain, kind, entries = _entries(obj, ("row", "col"), path)
     try:
         return Tensor.from_entries(domain, kind, entries)
-    except Exception as exc:
-        raise ParseError(f"{path}.entries: {exc}") from None
+    except DomainError as exc:
+        raise _outside(exc, domain, entries, ("row", "col"), path) from None
 
 
 def tensor_vector_to_json(x: TensorVector) -> dict:
@@ -236,21 +326,11 @@ def tensor_vector_to_json(x: TensorVector) -> dict:
 
 
 def tensor_vector_from_json(obj, path: str = "vector") -> TensorVector:
-    domain = index_set_from_json(_require(obj, "index_set", path), f"{path}.index_set")
-    kind = _kind(obj, path)
-    entries = {}
-    for i, entry in enumerate(_require(obj, "entries", path, list)):
-        point = tuple(_int_list(_require(entry, "point", f"{path}.entries[{i}]"),
-                                f"{path}.entries[{i}].point"))
-        value = scalar_from_json(_require(entry, "value", f"{path}.entries[{i}]"),
-                                 kind, f"{path}.entries[{i}].value")
-        if point in entries:
-            raise ParseError(f"{path}.entries[{i}]: repeats point {list(point)}")
-        entries[point] = value
+    domain, kind, entries = _entries(obj, ("point",), path)
     try:
-        return TensorVector.from_entries(domain, kind, entries)
-    except Exception as exc:
-        raise ParseError(f"{path}.entries: {exc}") from None
+        return TensorVector.from_entries(domain, kind, {p: v for (p,), v in entries.items()})
+    except DomainError as exc:
+        raise _outside(exc, domain, entries, ("point",), path) from None
 
 
 def jordan_spec_to_json(s: JordanSpec) -> dict:
@@ -286,8 +366,63 @@ def jordan_spec_list_from_json(obj, path: str = "specs"):
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    Byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for
+    a tree of dicts with string keys, lists, tuples, strings, ints, floats,
+    booleans and None; anything else raises ``TypeError``.
+    """
+    return _render(obj, "\n", {}) + "\n"
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _render(obj, nl: str, memo: dict) -> str:
+    """JSON text of ``obj``, where ``nl`` is a newline plus the indent of
+    its depth and ``memo`` maps ``(nl, *ints)`` to a rendered int list."""
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        for key, value in sorted(obj.items()):
+            leaf = type(value)
+            items.append(_ESCAPE(key) + ": " + (
+                _ESCAPE(value) if leaf is str else
+                _float(value) if leaf is float else _render(value, inner, memo)))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        # Plain ints only: True and 1.0 equal 1 but print differently.
+        if type(obj[0]) is int and _INT.issuperset(map(type, obj)):
+            key = (nl, *obj)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = "[" + inner + ("," + inner).join(
+                    map(int.__repr__, obj)) + nl + "]"
+            return text
+        return "[" + inner + ("," + inner).join([_render(v, inner, memo) for v in obj]) + nl + "]"
+    if kind is str:
+        return _ESCAPE(obj)
+    if kind is float:
+        return _float(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def load_json_file(path):

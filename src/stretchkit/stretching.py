@@ -9,7 +9,6 @@ class-averaging map is exactly the lost information.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .indexing import IndexMap, Permutation
@@ -47,17 +46,27 @@ def permute_stretch(t: Tensor, fmap: IndexMap, sigma: Permutation) -> DenseMatri
     return stretch(t, fmap.compose(sigma))
 
 
-@dataclass(frozen=True)
 class SimilarityWitness:
     """Permutation conjugating the mixed-radix stretch into a given injective one.
 
     ``perm[i]`` is the rank (among sorted map values) of the point whose
     mixed-radix position is i; ``matrix`` is the permutation matrix U with
-    U e_i = e_{perm[i]}.
+    U e_i = e_{perm[i]}.  Immutable by convention.
     """
 
-    perm: tuple
-    matrix: DenseMatrix
+    __slots__ = ("perm", "matrix")
+
+    def __init__(self, perm: tuple, matrix: DenseMatrix):
+        self.perm = perm
+        self.matrix = matrix
+
+    def __eq__(self, other):
+        if not isinstance(other, SimilarityWitness):
+            return NotImplemented
+        return self.perm == other.perm and self.matrix == other.matrix
+
+    def __repr__(self):
+        return f"SimilarityWitness(perm={self.perm!r}, matrix={self.matrix!r})"
 
 
 def tp_similarity_witness(fmap: IndexMap) -> SimilarityWitness:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from operator import mul
 
 from .errors import DimensionError, DomainError, VariantError
-from .indexing import IndexMap, IndexSet, class_fold
-from .scalars import (GQ, KINDS, close, coerce, from_scaled, one, scaled,
-                      to_scaled, trusted, zero)
+from .indexing import IndexMap, IndexSet, class_fold, class_grid
+from .scalars import (ABS_TOL, GQ, KINDS, REL_TOL, coerce, data_close, from_scaled,
+                      one, scaled, to_scaled, trusted, zero)
 
 
 def _zero(kind):
@@ -157,12 +157,14 @@ def identity_tensor(domain: IndexSet, kind=GQ) -> Tensor:
 
 
 def fold(obj, rows, cols):
-    """:func:`class_fold` of a tensor's or vector's entries, in kernel form:
-    ``(den, re, im)`` int arrays for exact data, ``(1, values, None)`` for float."""
+    """:func:`class_fold` of a tensor's or vector's entries on the
+    ``class_grid(rows, cols)``, in kernel form: ``(den, re, im)`` int arrays
+    for exact data, ``(1, values, None)`` for float."""
+    grid = class_grid(rows, cols)
     if obj.kind == GQ:
         den, re, im = to_scaled(obj.data)
-        return den, class_fold(re, rows, cols), class_fold(im, rows, cols)
-    return 1, class_fold(obj.data, rows, cols, 0j), None
+        return den, class_fold(re, grid), class_fold(im, grid)
+    return 1, class_fold(obj.data, grid, 0j), None
 
 
 def unfold(kind, den, re, im) -> tuple:
@@ -236,9 +238,5 @@ def average(t: Tensor, fmap: IndexMap, normalized: bool = True) -> Tensor:
     return trusted(Tensor, domain=t.domain, kind=t.kind, data=data)
 
 
-def tensors_close(a: Tensor, b: Tensor, rel_tol=1e-9, abs_tol=1e-12) -> bool:
-    if a.domain != b.domain or a.kind != b.kind:
-        return False
-    if a.kind == GQ:
-        return a.data == b.data
-    return all(close(x, y, rel_tol, abs_tol) for x, y in zip(a.data, b.data))
+def tensors_close(a: Tensor, b: Tensor, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
+    return a.domain == b.domain and data_close(a, b, rel_tol, abs_tol)

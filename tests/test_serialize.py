@@ -1,14 +1,22 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stretchkit import serialize as sz
-from stretchkit.errors import ParseError
+from stretchkit.errors import ParseError, VariantError
 from stretchkit.indexing import IndexMap, IndexSet
 from stretchkit.jordan import JordanSpec
 from stretchkit.linalg import DenseMatrix, DenseVector
 from stretchkit.scalars import CF64, GQ, gq
-from stretchkit.tensors import TensorVector
+from stretchkit.tensors import Tensor, TensorVector
 from stretchkit.verify import rand_rect_set, rand_tensor
 
 
@@ -162,3 +170,202 @@ def test_load_json_file_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ParseError, match="invalid JSON"):
         sz.load_json_file(bad)
+
+
+# -- dumps against the json module -----------------------------------------
+
+_TEXT = st.text() | st.text(alphabet="\"\\/\x00\x01\x1f\x7f\n\t\u00e9\u2028\u20ac\U0001f600 a")
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(2 ** 64, 2 ** 200)
+           | st.integers(-2 ** 200, -2 ** 64) | st.floats() | st.sampled_from(
+               [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324])
+           | _TEXT)
+_TREES = st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=25)
+
+
+def json_reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+@example({"": [], "a": {}, "b": (), "c": [[]], "d": [{}]})
+@example([1, [True, 1], [1.0, 1], [1, True], [1], [True], (1,)])
+def test_dumps_matches_json_dumps_on_random_trees(obj):
+    assert sz.dumps(obj) == json_reference(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers() | st.integers(2 ** 64, 2 ** 100), min_size=1, max_size=4),
+       _TREES)
+def test_dumps_renders_one_int_list_at_each_depth(ints, tree):
+    # The same list, and equal copies of it, at four depths.
+    obj = {"a": ints, "b": [ints, {"c": list(ints), "d": [tuple(ints)]}], "e": tree}
+    assert sz.dumps(obj) == json_reference(obj)
+
+
+def test_dumps_rejects_non_json_values_and_non_string_keys():
+    for bad in ({1: 2}, {"a": {1, 2}}, [object()], b"x"):
+        with pytest.raises(TypeError):
+            sz.dumps(bad)
+
+
+# -- tensor and vector entries: one golden message per rejected shape ---------
+
+_ONE = {"re": "1/1", "im": "0/1"}
+
+
+def _good_entry(i, vector):
+    point = [i % 2, i // 2]
+    return {"point": point, "value": _ONE} if vector else \
+        {"row": point, "col": [0, 0], "value": _ONE}
+
+
+def _entry(vector, key=None, value=_ONE, col=None):
+    """Entry 3 of a payload; ``key`` is its row (tensor) or point (vector),
+    and a tensor entry's col defaults to [0, 0]."""
+    entry = {} if value is None else {"value": value}
+    if key is not None:
+        entry["point" if vector else "row"] = key
+    if not vector:
+        entry["col"] = [0, 0] if col is None else col
+    return entry
+
+
+_BAD_ENTRIES = {
+    "not-a-dict": lambda v: 7,
+    "missing-key": lambda v: _entry(v),
+    "bool-in-key": lambda v: _entry(v, [1, True]),
+    "non-list-col": lambda v: _entry(v, 3) if v else _entry(v, [1, 1], col=3),
+    "missing-value": lambda v: _entry(v, [1, 1], value=None),
+    "value-not-dict": lambda v: _entry(v, [1, 1], value="1/1"),
+    "value-missing-im": lambda v: _entry(v, [1, 1], value={"re": "1/1"}),
+    "bad-fraction": lambda v: _entry(v, [1, 1], value={"re": "1/1", "im": "1.5"}),
+    "zero-denominator": lambda v: _entry(v, [1, 1], value={"re": "2/0", "im": "0/1"}),
+    "outside-domain": lambda v: _entry(v, [5, 0]),
+    "outside-domain-col": lambda v: _entry(v, [0]) if v else _entry(v, [1, 1], col=[0]),
+    "repeated": lambda v: _good_entry(1, v),
+}
+
+# Recorded before the entry parser got its fast path.  The four domain cases
+# used to read "tensor.entries: point ..." and now name the entry and field.
+_GOLDEN = {
+    "tensor:not-a-dict": 'tensor.entries[3]: missing field "row"',
+    "tensor:missing-key": 'tensor.entries[3]: missing field "row"',
+    "tensor:bool-in-key": "tensor.entries[3].row: expected an array of integers",
+    "tensor:non-list-col": "tensor.entries[3].col: expected an array of integers",
+    "tensor:missing-value": 'tensor.entries[3]: missing field "value"',
+    "tensor:value-not-dict": 'tensor.entries[3].value: expected an object with "re" and "im"',
+    "tensor:value-missing-im": 'tensor.entries[3].value: expected an object with "re" and "im"',
+    "tensor:bad-fraction":
+        "tensor.entries[3].value.im: expected a fraction string like \"3/4\", got '1.5'",
+    "tensor:zero-denominator": "tensor.entries[3].value.re: zero denominator in '2/0'",
+    "tensor:outside-domain": "tensor.entries[3].row: point (5, 0) is not in the index set",
+    "tensor:outside-domain-col": "tensor.entries[3].col: point (0,) is not in the index set",
+    "tensor:repeated": "tensor.entries[3]: repeats row [1, 0], col [0, 0]",
+    "vector:not-a-dict": 'vector.entries[3]: missing field "point"',
+    "vector:missing-key": 'vector.entries[3]: missing field "point"',
+    "vector:bool-in-key": "vector.entries[3].point: expected an array of integers",
+    "vector:non-list-col": "vector.entries[3].point: expected an array of integers",
+    "vector:missing-value": 'vector.entries[3]: missing field "value"',
+    "vector:value-not-dict": 'vector.entries[3].value: expected an object with "re" and "im"',
+    "vector:value-missing-im": 'vector.entries[3].value: expected an object with "re" and "im"',
+    "vector:bad-fraction":
+        "vector.entries[3].value.im: expected a fraction string like \"3/4\", got '1.5'",
+    "vector:zero-denominator": "vector.entries[3].value.re: zero denominator in '2/0'",
+    "vector:outside-domain": "vector.entries[3].point: point (5, 0) is not in the index set",
+    "vector:outside-domain-col": "vector.entries[3].point: point (0,) is not in the index set",
+    "vector:repeated": "vector.entries[3]: repeats point [1, 0]",
+}
+
+
+def _payload(entries, scalar="gq"):
+    return {"index_set": {"kind": "rectangular", "dims": [2, 2]}, "scalar": scalar,
+            "entries": entries}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_rejected_entries_have_golden_messages(case):
+    what, shape = case.split(":")
+    vector = what == "vector"
+    payload = _payload([_good_entry(i, vector) for i in range(3)]
+                       + [_BAD_ENTRIES[shape](vector)])
+    parse = sz.tensor_vector_from_json if vector else sz.tensor_from_json
+    with pytest.raises(ParseError) as info:
+        parse(payload)
+    assert str(info.value) == _GOLDEN[case]
+
+
+def test_rejected_cf64_entries_have_golden_messages():
+    good = {"re": 1.0, "im": 0.0}
+    tensor = _payload([{"row": [0, 0], "col": [0, 0], "value": good},
+                       {"row": [1, 1], "col": [0, 0], "value": {"re": 1.0, "im": True}}],
+                      "cf64")
+    with pytest.raises(ParseError, match=r"^tensor\.entries\[1\]\.value: cf64 components "
+                                         r"must be numbers$"):
+        sz.tensor_from_json(tensor)
+    vector = _payload([{"point": [0, 0], "value": good},
+                       {"point": [1, 1], "value": {"re": "1", "im": 0}}], "cf64")
+    with pytest.raises(ParseError, match=r"^vector\.entries\[1\]\.value: cf64 components"):
+        sz.tensor_vector_from_json(vector)
+
+
+def test_entry_checks_keep_their_order_across_entries():
+    # A later parse error wins over an earlier point outside the domain, as
+    # before: the domain is checked once every entry has parsed.
+    payload = _payload([_entry(False, [5, 0]), _good_entry(0, False),
+                        _entry(False, [1, 1], value={"re": "x", "im": "0/1"})])
+    with pytest.raises(ParseError, match=r"^tensor\.entries\[2\]\.value\.re: "):
+        sz.tensor_from_json(payload)
+
+
+def test_entries_accept_int_subclasses_and_share_parsed_values():
+    class Coord(int):
+        pass
+    payload = _payload([{"row": [Coord(1), 0], "col": [0, 0], "value": _ONE},
+                        {"row": [0, 1], "col": [1, 1], "value": dict(_ONE)},
+                        {"row": [1, 1], "col": [1, 0], "value": {"re": "-6/4", "im": "1/3"}},
+                        {"row": [0, 0], "col": [1, 1], "value": dict(_ONE)}])
+    t = sz.tensor_from_json(payload)
+    assert t.at((1, 0), (0, 0)) == gq(1)
+    assert t.at((0, 1), (1, 1)) is t.at((0, 0), (1, 1)) == gq(1)
+    assert t.at((1, 1), (1, 0)) == gq("-3/2", "1/3")
+    assert sz.tensor_from_json(sz.tensor_to_json(t)) == t
+
+
+@pytest.mark.parametrize("parse, build", [(sz.tensor_from_json, "Tensor"),
+                                          (sz.tensor_vector_from_json, "TensorVector")])
+def test_only_domain_errors_become_parse_errors(monkeypatch, parse, build):
+    # Anything else raised while the entries are placed is not relabelled.
+    def fail(cls, *args):
+        raise VariantError("not a parse error")
+    monkeypatch.setattr({"Tensor": Tensor, "TensorVector": TensorVector}[build],
+                        "from_entries", classmethod(fail))
+    vector = build == "TensorVector"
+    with pytest.raises(VariantError, match="not a parse error"):
+        parse(_payload([_good_entry(0, vector)]))
+
+
+def test_fraction_strings_parse_as_before():
+    for text, value in (("-6/4", Fraction(-3, 2)), ("+7", Fraction(7)), ("007/010", Fraction(7, 10)),
+                        ("-0/5", Fraction(0)), ("3/4\n", Fraction(3, 4)),
+                        ("\u0663/\u0664", Fraction(3, 4))):
+        assert sz.fraction_from_str(text, "x") == value == Fraction(text)
+    for bad in ("1/-2", " 1/2", "1 /2", "1/2/3", "", "/2", "1/", "1_0/3"):
+        with pytest.raises(ParseError, match="expected a fraction string"):
+            sz.fraction_from_str(bad, "x")
+    with pytest.raises(ParseError, match="zero denominator in '-3/00'"):
+        sz.fraction_from_str("-3/00", "x")
+
+
+# -- import weight ----------------------------------------------------------
+
+def test_cli_import_does_not_load_dataclasses_or_inspect():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import stretchkit.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

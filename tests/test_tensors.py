@@ -282,3 +282,19 @@ def test_from_entries_coerces_each_given_entry_once(monkeypatch):
         TensorVector.from_entries(dom, GQ, {(1, 2): 0.5})
     with pytest.raises(VariantError):
         Tensor.from_entries(dom, "q64", {})
+
+
+def test_tensors_close_and_matrices_close_share_one_comparison():
+    from stretchkit.linalg import matrices_close
+    from stretchkit.tensors import tensors_close
+    dom = IndexSet.rectangular((2,))
+    a = Tensor(dom, CF64, [1.0, 2j, 0j, 3.0])
+    assert tensors_close(a, Tensor(dom, CF64, [1.0 + 1e-12, 2j, 0j, 3.0]))
+    assert not tensors_close(a, Tensor(dom, CF64, [1.001, 2j, 0j, 3.0]))
+    assert not tensors_close(a, Tensor(IndexSet.explicit([(0,), (2,)]), CF64, a.data))
+    exact = Tensor(dom, GQ, [1, 0, 0, 1])
+    assert tensors_close(exact, identity_tensor(dom)) and not tensors_close(exact, a)
+    m = DenseMatrix.from_rows([[1.0, 2j], [0j, 3.0]], CF64)
+    assert matrices_close(m, DenseMatrix.from_rows([[1.0, 2j + 1e-13], [0j, 3.0]], CF64))
+    assert not matrices_close(m, DenseMatrix(CF64, 1, 4, m.data))
+    assert not matrices_close(m, DenseMatrix.from_rows([[1, 0], [0, 3]], GQ))
