@@ -15,9 +15,8 @@ from .jordan import (JordanOracleResult, JordanSpec, explicit_pair_matrix,
                      jordan_block, jordan_nfold, jordan_oracle, jordan_pair,
                      jordan_product, nfold_eigenvalues, nfold_product_matrix,
                      spec_matrix)
-from .linalg import (DenseMatrix, DenseVector, det, inverse, kron, mat_add,
-                     mat_mul, mat_scale, mat_sub, mat_vec, nullity_sequence,
-                     permutation_matrix, rank)
+from .linalg import (DenseMatrix, DenseVector, det, inverse, kron, mat_mul,
+                     mat_vec, nullity_sequence, permutation_matrix, rank)
 from .scalars import CF64, GQ, GaussianRational, close, gq
 from .stretching import (SimilarityWitness, check_tp_witness, kappa,
                          kernel_preservation_check, permute_stretch, stretch,
@@ -31,9 +30,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CF64", "GQ", "GaussianRational", "gq", "close",
-    "DenseMatrix", "DenseVector", "det", "inverse", "kron", "mat_add",
-    "mat_mul", "mat_scale", "mat_sub", "mat_vec", "nullity_sequence",
-    "permutation_matrix", "rank",
+    "DenseMatrix", "DenseVector", "det", "inverse", "kron", "mat_mul",
+    "mat_vec", "nullity_sequence", "permutation_matrix", "rank",
     "ClassPartition", "IndexMap", "IndexSet", "Permutation",
     "enumerate_z", "enumerate_z_inverse",
     "Tensor", "TensorVector", "act", "average", "convolve",

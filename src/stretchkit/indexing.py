@@ -125,10 +125,6 @@ class Permutation:
         return cls(range(1, degree + 1))
 
     @classmethod
-    def reversal(cls, degree) -> "Permutation":
-        return cls(range(degree, 0, -1))
-
-    @classmethod
     def from_string(cls, text) -> "Permutation":
         try:
             return cls(int(part) for part in text.split(","))
@@ -245,6 +241,9 @@ class IndexMap:
             for p in domain:
                 if p not in table:
                     raise DomainError(f"table map is missing point {p}")
+            if len(table) > len(domain):
+                outside = next(p for p in table if p not in domain)
+                raise DomainError(f"table map point {outside} is not in the index set")
         self.kind = kind
         self.domain = domain
         self.k = k
@@ -290,14 +289,14 @@ class IndexMap:
 
     def partition(self) -> ClassPartition:
         if self._part is None:
+            values = self.values()
             by_value = {}
-            for p in self.domain:
-                by_value.setdefault(self.value(p), []).append(p)
-            values = sorted(by_value)
-            classes = [by_value[v] for v in values]
-            cls_index = {v: i for i, v in enumerate(values)}
-            class_of_position = [cls_index[self.value(p)] for p in self.domain]
-            self._part = ClassPartition(values, classes, class_of_position)
+            for p, v in zip(self.domain, values):
+                by_value.setdefault(v, []).append(p)
+            distinct = sorted(by_value)
+            cls_index = {v: i for i, v in enumerate(distinct)}
+            self._part = ClassPartition(distinct, [by_value[v] for v in distinct],
+                                        [cls_index[v] for v in values])
         return self._part
 
     def is_injective(self) -> bool:

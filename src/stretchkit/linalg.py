@@ -1,20 +1,22 @@
 """Dense matrices and vectors over a single scalar kind.
 
 The kernel is deliberately small: product, Kronecker product, determinant,
-rank and nullity sequences.  Exact ("gq") determinants, ranks and nullity
-sequences run on integer-scaled Gaussian-integer arrays (Bareiss and
-fraction-free elimination), the exact inverse on Fraction elimination; float
-("cf64") data through pivoted LU.
+rank and nullity sequences.  Exact ("gq") products, determinants, ranks and
+nullity sequences run on integer-scaled Gaussian-integer arrays (one dot
+product shared with the tensor kernels, Bareiss and fraction-free
+elimination), the exact inverse on Fraction elimination; float ("cf64") data
+through the same dot product and pivoted LU.
 Row and column labels are carried verbatim and never interpreted here.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DimensionError, VariantError
-from .scalars import (ABS_TOL, CF64, GQ, REL_TOL, coerce, data_close, one, scaled,
-                      to_scaled, zero)
+from .scalars import (ABS_TOL, CF64, GQ, REL_TOL, coerce, data_close, from_scaled, one,
+                      scaled, to_scaled, trusted, zero)
 
 
 def _labels(labels, n, what):
@@ -64,10 +66,6 @@ class DenseMatrix:
         data = [o if i == j else z for i in range(n) for j in range(n)]
         return cls(kind, n, n, data)
 
-    @classmethod
-    def zeros(cls, n_rows, n_cols, kind):
-        return cls(kind, n_rows, n_cols, [zero(kind)] * (n_rows * n_cols))
-
     @property
     def is_square(self):
         return self.n_rows == self.n_cols
@@ -83,10 +81,6 @@ class DenseMatrix:
         n, m = self.n_rows, self.n_cols
         data = [self.data[i * m + j] for j in range(m) for i in range(n)]
         return DenseMatrix(self.kind, m, n, data, self.col_labels, self.row_labels)
-
-    def with_labels(self, row_labels, col_labels):
-        return DenseMatrix(self.kind, self.n_rows, self.n_cols, self.data,
-                           row_labels, col_labels)
 
     def __eq__(self, other):
         # Labels are metadata; equality is about values.
@@ -124,72 +118,53 @@ class DenseVector:
         return f"DenseVector({self.kind}, n={self.n})"
 
 
-def _require_same_kind(a, b):
+def require_same_kind(a, b):
     if a.kind != b.kind:
         raise VariantError(f"mixed scalar kinds: {a.kind} vs {b.kind}")
 
 
+def unfold(kind, den, re, im) -> tuple:
+    """Scalars of ``kind`` from kernel form: ``(den, re, im)`` int arrays for
+    exact data, ``(1, values, None)`` for float."""
+    return from_scaled(den, re, im) if kind == GQ else tuple(re)
+
+
+def product(a, b, n, k, m):
+    """Kernel-form product of an n x k and a k x m row-major array (Gaussian for 'gq')."""
+    (da, ar, ai), (db, br, bi) = a, b
+
+    def dot(x, y):
+        cols = [y[j::m] for j in range(m)]
+        return [sum(map(mul, x[i * k:i * k + k], col)) for i in range(n) for col in cols]
+    if ai is None:
+        return 1, dot(ar, br), None
+    re = [x - y for x, y in zip(dot(ar, br), dot(ai, bi))]
+    im = [x + y for x, y in zip(dot(ar, bi), dot(ai, br))]
+    return da * db, re, im
+
+
+def _kernel(x):
+    """Kernel form of a matrix's or vector's entries (see :func:`unfold`)."""
+    return to_scaled(x.data) if x.kind == GQ else (1, x.data, None)
+
+
 def mat_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Standard matrix product; exact whenever both operands are exact."""
-    _require_same_kind(a, b)
+    require_same_kind(a, b)
     if a.n_cols != b.n_rows:
         raise DimensionError(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
-    n, k, m = a.n_rows, a.n_cols, b.n_cols
-    z = zero(a.kind)
-    ad, bd = a.data, b.data
-    out = [z] * (n * m)
-    for i in range(n):
-        arow = i * k
-        orow = i * m
-        for t in range(k):
-            ait = ad[arow + t]
-            if not ait:
-                continue
-            brow = t * m
-            for j in range(m):
-                btj = bd[brow + j]
-                if btj:
-                    out[orow + j] = out[orow + j] + ait * btj
-    return DenseMatrix(a.kind, n, m, out, a.row_labels, b.col_labels)
+    n, m = a.n_rows, b.n_cols
+    data = unfold(a.kind, *product(_kernel(a), _kernel(b), n, a.n_cols, m))
+    return trusted(DenseMatrix, kind=a.kind, n_rows=n, n_cols=m, data=data,
+                   row_labels=a.row_labels, col_labels=b.col_labels)
 
 
 def mat_vec(a: DenseMatrix, v: DenseVector) -> DenseVector:
-    _require_same_kind(a, v)
+    require_same_kind(a, v)
     if a.n_cols != v.n:
         raise DimensionError(f"cannot apply {a.n_rows}x{a.n_cols} to vector of length {v.n}")
-    z = zero(a.kind)
-    out = []
-    for i in range(a.n_rows):
-        acc = z
-        row = i * a.n_cols
-        for j in range(a.n_cols):
-            aij = a.data[row + j]
-            if aij and v.data[j]:
-                acc = acc + aij * v.data[j]
-        out.append(acc)
-    return DenseVector(a.kind, a.n_rows, out, a.row_labels)
-
-
-def mat_add(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    _require_same_kind(a, b)
-    if (a.n_rows, a.n_cols) != (b.n_rows, b.n_cols):
-        raise DimensionError("shape mismatch in addition")
-    data = [x + y for x, y in zip(a.data, b.data)]
-    return DenseMatrix(a.kind, a.n_rows, a.n_cols, data, a.row_labels, a.col_labels)
-
-
-def mat_sub(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    _require_same_kind(a, b)
-    if (a.n_rows, a.n_cols) != (b.n_rows, b.n_cols):
-        raise DimensionError("shape mismatch in subtraction")
-    data = [x - y for x, y in zip(a.data, b.data)]
-    return DenseMatrix(a.kind, a.n_rows, a.n_cols, data, a.row_labels, a.col_labels)
-
-
-def mat_scale(s, a: DenseMatrix) -> DenseMatrix:
-    s = coerce(s, a.kind)
-    return DenseMatrix(a.kind, a.n_rows, a.n_cols, [s * v for v in a.data],
-                       a.row_labels, a.col_labels)
+    data = unfold(a.kind, *product(_kernel(a), _kernel(v), a.n_rows, v.n, 1))
+    return trusted(DenseVector, kind=a.kind, n=a.n_rows, data=data, labels=a.row_labels)
 
 
 def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -201,7 +176,7 @@ def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     mixed-radix map; in particular kron(B, I_k) is block-diagonal
     diag(B, ..., B) while kron(I_k, B) interleaves B at stride k.
     """
-    _require_same_kind(a, b)
+    require_same_kind(a, b)
     p, r = a.n_rows, a.n_cols
     q, s = b.n_rows, b.n_cols
     z = zero(a.kind)

@@ -129,16 +129,9 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self.re, -self.im)
-
     def abs_sq(self) -> Fraction:
         """|z|^2 as an exact Fraction."""
         return self.re * self.re + self.im * self.im
-
-    def to_complex(self) -> complex:
-        """Lossy cast, for display and demos only."""
-        return complex(float(self.re), float(self.im))
 
     def __repr__(self):
         return f"gq({self.re!s}, {self.im!s})"
@@ -159,14 +152,6 @@ def gq(re=0, im=0) -> GaussianRational:
     if isinstance(im, str):
         im = Fraction(im)
     return GaussianRational(re, im)
-
-
-def kind_of(value) -> str:
-    if isinstance(value, GaussianRational):
-        return GQ
-    if isinstance(value, complex):
-        return CF64
-    raise VariantError(f"value {value!r} carries no scalar kind")
 
 
 def coerce(value, kind: str):
@@ -218,11 +203,21 @@ def trusted(cls, **slots):
 
 
 def zero(kind: str):
-    return GaussianRational._raw(_F0, _F0) if kind == GQ else 0j
+    """Zero of ``kind``; an unknown kind raises :class:`VariantError`."""
+    if kind == GQ:
+        return _ZERO
+    if kind == CF64:
+        return 0j
+    raise VariantError(f"unknown scalar kind {kind!r}")
 
 
 def one(kind: str):
-    return GaussianRational._raw(Fraction(1), _F0) if kind == GQ else complex(1.0)
+    """One of ``kind``; an unknown kind raises :class:`VariantError`."""
+    if kind == GQ:
+        return GaussianRational._raw(Fraction(1), _F0)
+    if kind == CF64:
+        return complex(1.0)
+    raise VariantError(f"unknown scalar kind {kind!r}")
 
 
 def close(x: complex, y: complex, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> bool:

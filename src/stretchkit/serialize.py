@@ -106,41 +106,12 @@ def matrix_to_json(m: DenseMatrix) -> dict:
     return out
 
 
-def matrix_from_json(obj, path: str = "matrix") -> DenseMatrix:
-    rows = _require(obj, "rows", path, int)
-    cols = _require(obj, "cols", path, int)
-    kind = _kind(obj, path)
-    data = _require(obj, "data", path, list)
-    if len(data) != rows:
-        raise ParseError(f"{path}.data: expected {rows} rows, got {len(data)}")
-    flat = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"{path}.data[{i}]: expected {cols} values")
-        flat.extend(scalar_from_json(v, kind, f"{path}.data[{i}][{j}]")
-                    for j, v in enumerate(row))
-    row_labels = _int_list(obj["row_labels"], f"{path}.row_labels") \
-        if "row_labels" in obj else None
-    col_labels = _int_list(obj["col_labels"], f"{path}.col_labels") \
-        if "col_labels" in obj else None
-    return DenseMatrix(kind, rows, cols, flat, row_labels, col_labels)
-
-
 def vector_to_json(v: DenseVector) -> dict:
     out = {"n": v.n, "scalar": v.kind,
            "data": [scalar_to_json(x, v.kind) for x in v.data]}
     if v.labels is not None:
         out["labels"] = list(v.labels)
     return out
-
-
-def vector_from_json(obj, path: str = "vector") -> DenseVector:
-    n = _require(obj, "n", path, int)
-    kind = _kind(obj, path)
-    data = _require(obj, "data", path, list)
-    values = [scalar_from_json(x, kind, f"{path}.data[{i}]") for i, x in enumerate(data)]
-    labels = _int_list(obj["labels"], f"{path}.labels") if "labels" in obj else None
-    return DenseVector(kind, n, values, labels)
 
 
 def index_set_to_json(s: IndexSet) -> dict:
@@ -158,19 +129,6 @@ def index_set_from_json(obj, path: str = "index_set") -> IndexSet:
         return IndexSet.explicit(
             [_int_list(p, f"{path}.points[{i}]") for i, p in enumerate(points)])
     raise ParseError(f"{path}.kind: unknown index set kind {kind!r}")
-
-
-def index_map_to_json(m: IndexMap, include_index_set: bool = False) -> dict:
-    if m.kind == "linear":
-        out = {"kind": "linear", "k": list(m.k)}
-    elif m.kind == "table":
-        out = {"kind": "table",
-               "pairs": [{"point": list(p), "value": m.table[p]} for p in m.domain]}
-    else:
-        out = {"kind": m.kind}
-    if include_index_set:
-        out["index_set"] = index_set_to_json(m.domain)
-    return out
 
 
 def index_map_from_json(obj, domain: IndexSet | None = None,
@@ -199,10 +157,14 @@ def index_map_from_json(obj, domain: IndexSet | None = None,
         pairs = _require(obj, "pairs", path, list)
         mapping = {}
         for i, pair in enumerate(pairs):
-            point = _int_list(_require(pair, "point", f"{path}.pairs[{i}]"),
-                              f"{path}.pairs[{i}].point")
-            value = _require(pair, "value", f"{path}.pairs[{i}]", int)
-            mapping[tuple(point)] = value
+            where = f"{path}.pairs[{i}]"
+            point = tuple(_int_list(_require(pair, "point", where), f"{where}.point"))
+            value = _require(pair, "value", where, int)
+            if point in mapping:
+                raise ParseError(f"{where}: repeats point {list(point)}")
+            if point not in domain:
+                raise ParseError(f"{where}.point: {list(point)} is not in the index set")
+            mapping[point] = value
         return IndexMap.from_table(domain, mapping)
     raise ParseError(f"{path}.kind: unknown map kind {kind!r}")
 

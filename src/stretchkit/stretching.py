@@ -13,9 +13,9 @@ import random
 from .errors import DomainError
 from .indexing import IndexMap, Permutation
 from .linalg import (DenseMatrix, DenseVector, det, mat_mul, matrices_close,
-                     permutation_matrix, rank)
+                     permutation_matrix, rank, unfold)
 from .scalars import GQ, gq, trusted, zero
-from .tensors import Tensor, TensorVector, average, fold, require_domain, unfold
+from .tensors import Tensor, TensorVector, average, fold, require_domain
 
 
 def stretch(t: Tensor, fmap: IndexMap) -> DenseMatrix:

@@ -8,19 +8,11 @@ matrix product.
 """
 from __future__ import annotations
 
-from operator import mul
-
 from .errors import DimensionError, DomainError, VariantError
 from .indexing import IndexMap, IndexSet, class_fold, class_grid
-from .scalars import (ABS_TOL, GQ, KINDS, REL_TOL, coerce, data_close, from_scaled,
-                      one, scaled, to_scaled, trusted, zero)
-
-
-def _zero(kind):
-    """Zero of ``kind``, which must be a known scalar kind."""
-    if kind not in KINDS:
-        raise VariantError(f"unknown scalar kind {kind!r}")
-    return zero(kind)
+from .linalg import product, require_same_kind, unfold
+from .scalars import (ABS_TOL, GQ, REL_TOL, coerce, data_close, one, scaled, to_scaled,
+                      trusted, zero)
 
 
 class Tensor:
@@ -41,14 +33,10 @@ class Tensor:
     def from_entries(cls, domain, kind, entries) -> "Tensor":
         """Build from {(row_point, col_point): value}; missing entries are zero."""
         n = len(domain)
-        data = [_zero(kind)] * (n * n)
+        data = [zero(kind)] * (n * n)
         for (pi, pj), v in dict(entries).items():
             data[domain.position(pi) * n + domain.position(pj)] = coerce(v, kind)
         return trusted(cls, domain=domain, kind=kind, data=tuple(data))
-
-    @classmethod
-    def unit(cls, domain, pi, pj, kind=GQ) -> "Tensor":
-        return cls.from_entries(domain, kind, {(tuple(pi), tuple(pj)): one(kind)})
 
     @property
     def size(self) -> int:
@@ -85,12 +73,8 @@ class TensorVector:
         self.data = data
 
     @classmethod
-    def zeros(cls, domain, kind) -> "TensorVector":
-        return cls(domain, kind, [zero(kind)] * len(domain))
-
-    @classmethod
     def from_entries(cls, domain, kind, entries) -> "TensorVector":
-        data = [_zero(kind)] * len(domain)
+        data = [zero(kind)] * len(domain)
         for p, v in dict(entries).items():
             data[domain.position(p)] = coerce(v, kind)
         return trusted(cls, domain=domain, kind=kind, data=tuple(data))
@@ -116,8 +100,7 @@ def require_domain(fmap: IndexMap, obj):
 def _require_compatible(a, b):
     if a.domain != b.domain:
         raise DomainError("operands live on different index sets")
-    if a.kind != b.kind:
-        raise VariantError(f"mixed scalar kinds: {a.kind} vs {b.kind}")
+    require_same_kind(a, b)
 
 
 def pure_tensor(factors) -> Tensor:
@@ -158,32 +141,13 @@ def identity_tensor(domain: IndexSet, kind=GQ) -> Tensor:
 
 def fold(obj, rows, cols):
     """:func:`class_fold` of a tensor's or vector's entries on the
-    ``class_grid(rows, cols)``, in kernel form: ``(den, re, im)`` int arrays
-    for exact data, ``(1, values, None)`` for float."""
+    ``class_grid(rows, cols)``, in the kernel form of
+    :func:`~stretchkit.linalg.unfold`."""
     grid = class_grid(rows, cols)
     if obj.kind == GQ:
         den, re, im = to_scaled(obj.data)
         return den, class_fold(re, grid), class_fold(im, grid)
     return 1, class_fold(obj.data, grid, 0j), None
-
-
-def unfold(kind, den, re, im) -> tuple:
-    """Scalars of ``kind`` from the kernel form returned by :func:`fold`."""
-    return from_scaled(den, re, im) if kind == GQ else tuple(re)
-
-
-def _product(a, b, n, k, m):
-    """Kernel-form product of an n x k and a k x m fold (Gaussian for 'gq')."""
-    (da, ar, ai), (db, br, bi) = a, b
-
-    def dot(x, y):
-        cols = [y[j::m] for j in range(m)]
-        return [sum(map(mul, x[i * k:i * k + k], col)) for i in range(n) for col in cols]
-    if ai is None:
-        return 1, dot(ar, br), None
-    re = [x - y for x, y in zip(dot(ar, br), dot(ai, bi))]
-    im = [x + y for x, y in zip(dot(ar, bi), dot(ai, br))]
-    return da * db, re, im
 
 
 def convolve(t1: Tensor, t2: Tensor, fmap: IndexMap) -> Tensor:
@@ -196,7 +160,7 @@ def convolve(t1: Tensor, t2: Tensor, fmap: IndexMap) -> Tensor:
     require_domain(fmap, t1)
     part = fmap.partition()
     n, k, cidx = t1.size, len(part), part.class_of_position
-    out = _product(fold(t1, range(n), cidx), fold(t2, cidx, range(n)), n, k, n)
+    out = product(fold(t1, range(n), cidx), fold(t2, cidx, range(n)), n, k, n)
     return trusted(Tensor, domain=t1.domain, kind=t1.kind, data=unfold(t1.kind, *out))
 
 
@@ -213,7 +177,7 @@ def act(t: Tensor, x: TensorVector, fmap: IndexMap) -> TensorVector:
     require_domain(fmap, t)
     part = fmap.partition()
     n, k, cidx = t.size, len(part), part.class_of_position
-    out = _product(fold(t, range(n), cidx), fold(x, cidx, (0,)), n, k, 1)
+    out = product(fold(t, range(n), cidx), fold(x, cidx, (0,)), n, k, 1)
     return trusted(TensorVector, domain=t.domain, kind=t.kind, data=unfold(t.kind, *out))
 
 

@@ -18,7 +18,7 @@ from .jordan import (JordanSpec, jordan_nfold, jordan_oracle, jordan_pair,
 from .linalg import (DenseMatrix, entry_multiset, frobenius_norm_sq, kron,
                      mat_mul, mat_vec)
 from .scalars import GQ, GaussianRational, gq
-from .stretching import (check_tp_witness, kernel_preservation_check,
+from .stretching import (check_tp_witness, kappa, kernel_preservation_check,
                          permute_stretch, stretch, stretch_vector,
                          tp_similarity_witness, verify_averaging_decomposition)
 from .tensors import (Tensor, TensorVector, act, average, convolve,
@@ -166,7 +166,6 @@ def suite_adjoint(trials: int, seed: int):
 
 def suite_kappa(trials: int, seed: int):
     """Multiplicativity of the stretched determinant."""
-    from .stretching import kappa
     rng = random.Random(seed)
     mult_fail = tp_fail = 0
     for _ in range(trials):

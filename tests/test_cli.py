@@ -277,6 +277,22 @@ def test_parse_error_exits_2(tmp_path, fixtures_dir, capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([([0], 1), ([1], 2), ([0], 5)], "map.pairs[2]: repeats point [0]"),
+    ([([0], 1), ([1], 2), ([2], 5)], "map.pairs[2].point: [2] is not in the index set"),
+])
+def test_table_map_with_a_repeated_or_outside_point_exits_2(tmp_path, capsys, pairs, message):
+    dom = {"kind": "rectangular", "dims": [2]}
+    one = {"re": "1/1", "im": "0/1"}
+    tensor = write_json(tmp_path, "t.json", {"index_set": dom, "scalar": "gq", "entries": [
+        {"row": [0], "col": [0], "value": one}, {"row": [1], "col": [1], "value": one}]})
+    fmap = write_json(tmp_path, "map.json", {
+        "kind": "table", "pairs": [{"point": p, "value": v} for p, v in pairs]})
+    code, out, err = run_cli(["stretch", "--tensor", tensor, "--map", fmap], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {message}\n"
+
+
 def test_domain_mismatch_exits_3(tmp_path, fixtures_dir, capsys):
     fmap = write_json(tmp_path, "map.json", {
         "kind": "mixed-radix",

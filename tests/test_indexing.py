@@ -85,11 +85,13 @@ def test_table_map_must_be_total():
     s = IndexSet.rectangular((2,))
     with pytest.raises(DomainError):
         IndexMap.from_table(s, {(0,): 1})
+    with pytest.raises(DomainError, match=r"table map point \(5,\) is not in the index set"):
+        IndexMap.from_table(s, {(0,): 1, (5,): 3, (1,): 2})
 
 
 def test_permutation_action():
     assert Permutation.identity(2).apply((3, 7)) == (3, 7)
-    assert Permutation.reversal(3).apply(("a", "b", "c")) == ("c", "b", "a")
+    assert Permutation((3, 2, 1)).apply(("a", "b", "c")) == ("c", "b", "a")
     assert Permutation((2, 1)).apply((0, 1)) == (1, 0)
     with pytest.raises(ParseError):
         Permutation((1, 3))

@@ -8,12 +8,15 @@ independent code path on every input.
 from fractions import Fraction
 from math import prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stretchkit.errors import DimensionError, VariantError
 from stretchkit.indexing import IndexMap, IndexSet
-from stretchkit.linalg import DenseMatrix, det
-from stretchkit.scalars import CF64, GQ, GaussianRational, close
+from stretchkit.linalg import (DenseMatrix, DenseVector, det, mat_mul, mat_vec,
+                               matrices_close)
+from stretchkit.scalars import CF64, GQ, REL_TOL, GaussianRational, close, data_close
 from stretchkit.stretching import kappa, stretch, stretch_vector
 from stretchkit.tensors import Tensor, TensorVector, act, average, convolve
 
@@ -125,6 +128,12 @@ def ref_convolve(t1, t2, fmap):
     return out
 
 
+def ref_mat_mul(a, b):
+    """Row-major entries of a times b, summed term by term."""
+    return [sum((a.at(i, t) * b.at(t, j) for t in range(a.n_cols)), zero_of(a.kind))
+            for i in range(a.n_rows) for j in range(b.n_cols)]
+
+
 def ref_det(rows):
     """Gaussian elimination with GaussianRational division."""
     rows = [list(r) for r in rows]
@@ -217,3 +226,44 @@ def test_det_fixed_swap_and_complex_pivot_chain():
             [GaussianRational(1), ZERO, 2 - i]]
     m = DenseMatrix.from_rows(rows, GQ)
     assert det(m) == ref_det(rows) == GaussianRational(-5, -3)
+
+
+def labels(n):
+    return st.none() | st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), kinds)
+def test_mat_mul_and_mat_vec(data, n, k, m, kind):
+    """Rectangular shapes (often with a dimension of 1), non-real entries and
+    denominators up to 2^61 - 1; exact data must match exactly, float data
+    within REL_TOL.  Row labels come from the left factor, column labels
+    from the right one."""
+    def matrix(rows, cols):
+        return DenseMatrix(kind, rows, cols, data.draw(values(rows * cols, kind)),
+                           data.draw(labels(rows)), data.draw(labels(cols)))
+    a, b = matrix(n, k), matrix(k, m)
+    v = DenseVector(kind, k, data.draw(values(k, kind)), data.draw(labels(k)))
+    got = mat_mul(a, b)
+    want = DenseMatrix(kind, n, m, ref_mat_mul(a, b))
+    assert (got.row_labels, got.col_labels) == (a.row_labels, b.col_labels)
+    assert got == want if kind == GQ else matrices_close(got, want, REL_TOL)
+    column = DenseMatrix(kind, k, 1, v.data)
+    gv, want_v = mat_vec(a, v), DenseVector(kind, n, ref_mat_mul(a, column))
+    assert gv.labels == a.row_labels
+    assert gv == want_v if kind == GQ else data_close(gv, want_v, REL_TOL)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), kinds)
+def test_mat_mul_and_mat_vec_reject_shapes_and_mixed_kinds(data, n, k, kind):
+    other = CF64 if kind == GQ else GQ
+    a = DenseMatrix(kind, n, k, data.draw(values(n * k, kind)))
+    with pytest.raises(DimensionError):
+        mat_mul(a, DenseMatrix(kind, k + 1, n, data.draw(values((k + 1) * n, kind))))
+    with pytest.raises(DimensionError):
+        mat_vec(a, DenseVector(kind, k + 1, data.draw(values(k + 1, kind))))
+    with pytest.raises(VariantError):
+        mat_mul(a, DenseMatrix(other, k, n, data.draw(values(k * n, other))))
+    with pytest.raises(VariantError):
+        mat_vec(a, DenseVector(other, k, data.draw(values(k, other))))

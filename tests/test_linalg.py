@@ -6,9 +6,8 @@ import pytest
 from stretchkit.errors import DimensionError, VariantError
 from stretchkit.jordan import jordan_block
 from stretchkit.linalg import (DenseMatrix, DenseVector, det, entry_multiset,
-                               frobenius_norm_sq, inverse, kron, mat_add,
-                               mat_mul, mat_scale, mat_sub, mat_vec,
-                               matrices_close, nullity_sequence,
+                               frobenius_norm_sq, inverse, kron, mat_mul,
+                               mat_vec, matrices_close, nullity_sequence,
                                permutation_matrix, rank)
 from stretchkit.scalars import CF64, GQ, gq
 
@@ -136,11 +135,11 @@ def test_det_float_agrees_with_exact():
     ints = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(5)]
     exact = det(DenseMatrix.from_rows(ints, GQ))
     approx = det(DenseMatrix.from_rows([[float(v) for v in r] for r in ints], CF64))
-    assert abs(approx - complex(exact.to_complex())) < 1e-9
+    assert abs(approx - complex(float(exact.re), float(exact.im))) < 1e-9
 
 
 def test_rank_cases():
-    assert rank(DenseMatrix.zeros(3, 3, GQ)) == 0
+    assert rank(DenseMatrix(GQ, 3, 3, [0] * 9)) == 0
     assert rank(jordan_block(3, 0)) == 2
     assert rank(kron(jordan_block(2, 0), jordan_block(2, 0))) == 1
     with pytest.raises(VariantError):
@@ -186,7 +185,7 @@ def test_inverse_round_trip():
             break
     assert mat_mul(a, inverse(a)) == DenseMatrix.identity(4, GQ)
     with pytest.raises(DimensionError):
-        inverse(DenseMatrix.zeros(2, 2, GQ))
+        inverse(DenseMatrix(GQ, 2, 2, [0] * 4))
 
 
 def test_permutation_matrix_moves_basis_vectors():
@@ -199,12 +198,9 @@ def test_labels_are_carried_not_interpreted():
     a = DenseMatrix.from_rows([[1, 2], [3, 4]], GQ,
                               row_labels=(-1, 5), col_labels=(0, 7))
     assert a.transpose().row_labels == (0, 7)
-    b = DenseMatrix.identity(2, GQ).with_labels((0, 7), (3, 9))
+    b = DenseMatrix.from_rows([[1, 0], [0, 1]], GQ, row_labels=(0, 7), col_labels=(3, 9))
     assert mat_mul(a, b).row_labels == (-1, 5)
     assert mat_mul(a, b).col_labels == (3, 9)
-    assert mat_add(a, a).row_labels == (-1, 5)
-    assert mat_sub(a, a).col_labels == (0, 7)
-    assert mat_scale(2, a).row_labels == (-1, 5)
 
 
 def test_frobenius_and_entry_multiset():

@@ -5,8 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stretchkit.errors import VariantError
-from stretchkit.scalars import (CF64, GQ, GaussianRational, close, coerce, gq,
-                                kind_of, one, zero)
+from stretchkit.scalars import CF64, GQ, GaussianRational, close, coerce, gq, one, zero
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -60,10 +59,6 @@ def test_division_by_zero_raises():
 
 
 def test_kind_tagging_and_coercion():
-    assert kind_of(gq(1)) == GQ
-    assert kind_of(1 + 2j) == CF64
-    with pytest.raises(VariantError):
-        kind_of(1)
     assert coerce(3, GQ) == gq(3)
     assert coerce(3, CF64) == 3 + 0j
     with pytest.raises(VariantError):
@@ -76,6 +71,9 @@ def test_zero_one_and_truthiness():
     assert not zero(GQ) and one(GQ)
     assert not zero(CF64) and one(CF64)
     assert zero(GQ) == gq(0)
+    for make in (zero, one):
+        with pytest.raises(VariantError, match="unknown scalar kind 'f32'"):
+            make("f32")
 
 
 def test_close_uses_relative_tolerance_with_absolute_floor():

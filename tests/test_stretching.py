@@ -154,7 +154,7 @@ def test_injective_stretch_sends_units_to_distinct_units():
     seen = set()
     for pi in dom:
         for pj in dom:
-            m = stretch(Tensor.unit(dom, pi, pj), f)
+            m = stretch(Tensor.from_entries(dom, GQ, {(pi, pj): 1}), f)
             nonzero = [(i, j) for i in range(4) for j in range(4) if m.at(i, j)]
             assert len(nonzero) == 1 and m.at(*nonzero[0]) == gq(1)
             seen.add(nonzero[0])
@@ -242,7 +242,7 @@ def test_permute_stretch_reversal_three_factors():
     t = pure_tensor(bs)
     tp = IndexMap.mixed_radix(t.domain)
     reversed_t = pure_tensor(list(reversed(bs)))
-    assert permute_stretch(t, tp, Permutation.reversal(3)) == \
+    assert permute_stretch(t, tp, Permutation((3, 2, 1))) == \
         stretch(reversed_t, tp)
 
 

@@ -262,7 +262,7 @@ def test_domain_and_kind_mismatches_raise():
     with pytest.raises(VariantError):
         convolve(t, identity_tensor(dom, CF64), f)
     with pytest.raises(DomainError):
-        act(identity_tensor(other, GQ), TensorVector.zeros(other, GQ), f)
+        act(identity_tensor(other, GQ), TensorVector(other, GQ, [0] * len(other)), f)
 
 
 def test_from_entries_coerces_each_given_entry_once(monkeypatch):
