@@ -1,22 +1,23 @@
 """Dense matrices and vectors over a single scalar kind.
 
 The kernel is deliberately small: product, Kronecker product, determinant,
-rank and nullity sequences.  Exact ("gq") products, determinants, ranks and
-nullity sequences run on integer-scaled Gaussian-integer arrays (one dot
-product shared with the tensor kernels, Bareiss and fraction-free
-elimination), the exact inverse on Fraction elimination; float ("cf64") data
-through the same dot product and pivoted LU.
+rank and nullity sequences.  Exact ("gq") products, Kronecker products,
+determinants, ranks and nullity sequences run on the stored integer form of
+:class:`~stretchkit.scalars.Entries` (one dot product shared with the tensor
+kernels, Bareiss and fraction-free elimination), the exact inverse on
+Fraction elimination; float ("cf64") data through the same dot product and
+pivoted LU.
 Row and column labels are carried verbatim and never interpreted here.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionError, VariantError
-from .scalars import (ABS_TOL, CF64, GQ, REL_TOL, coerce, data_close, from_scaled, one,
-                      scaled, to_scaled, trusted, zero)
+from .scalars import (ABS_TOL, CF64, GQ, REL_TOL, Entries, coerce, data_close, one, scaled,
+                      stored, take, zero)
 
 
 def _labels(labels, n, what):
@@ -28,23 +29,21 @@ def _labels(labels, n, what):
     return labels
 
 
-class DenseMatrix:
+class DenseMatrix(Entries):
     """Immutable row-major matrix whose entries all share one scalar kind."""
 
-    __slots__ = ("kind", "n_rows", "n_cols", "data", "row_labels", "col_labels")
+    __slots__ = ("n_rows", "n_cols", "row_labels", "col_labels")
 
     def __init__(self, kind, n_rows, n_cols, data, row_labels=None, col_labels=None):
         if n_rows < 1 or n_cols < 1:
             raise DimensionError("matrix dimensions must be positive")
-        data = tuple(coerce(v, kind) for v in data)
-        if len(data) != n_rows * n_cols:
+        self._store(kind, [coerce(v, kind) for v in data])
+        if len(self._k[1]) != n_rows * n_cols:
             raise DimensionError(
-                f"matrix data has {len(data)} entries, expected {n_rows}x{n_cols}"
+                f"matrix data has {len(self._k[1])} entries, expected {n_rows}x{n_cols}"
             )
-        self.kind = kind
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.data = data
         self.row_labels = _labels(row_labels, n_rows, "row_labels")
         self.col_labels = _labels(col_labels, n_cols, "col_labels")
 
@@ -71,48 +70,47 @@ class DenseMatrix:
         return self.n_rows == self.n_cols
 
     def at(self, i, j):
-        return self.data[i * self.n_cols + j]
+        return self._entry(i * self.n_cols + j)
 
     def to_rows(self):
-        n = self.n_cols
-        return [list(self.data[i * n:(i + 1) * n]) for i in range(self.n_rows)]
+        n, data = self.n_cols, self.data
+        return [list(data[i * n:(i + 1) * n]) for i in range(self.n_rows)]
 
     def transpose(self):
         n, m = self.n_rows, self.n_cols
-        data = [self.data[i * m + j] for j in range(m) for i in range(n)]
-        return DenseMatrix(self.kind, m, n, data, self.col_labels, self.row_labels)
+        order = [i * m + j for j in range(m) for i in range(n)]
+        return stored(DenseMatrix, self.kind, take(self._k, order), n_rows=m, n_cols=n,
+                      row_labels=self.col_labels, col_labels=self.row_labels)
 
     def __eq__(self, other):
         # Labels are metadata; equality is about values.
         if not isinstance(other, DenseMatrix):
             return NotImplemented
         return (self.kind == other.kind and self.n_rows == other.n_rows
-                and self.n_cols == other.n_cols and self.data == other.data)
+                and self.n_cols == other.n_cols and self._k == other._k)
 
     def __repr__(self):
         return f"DenseMatrix({self.kind}, {self.n_rows}x{self.n_cols})"
 
 
-class DenseVector:
+class DenseVector(Entries):
     """Immutable vector sharing the matrix conventions."""
 
-    __slots__ = ("kind", "n", "data", "labels")
+    __slots__ = ("n", "labels")
 
     def __init__(self, kind, n, data, labels=None):
         if n < 1:
             raise DimensionError("vector length must be positive")
-        data = tuple(coerce(v, kind) for v in data)
-        if len(data) != n:
-            raise DimensionError(f"vector data has {len(data)} entries, expected {n}")
-        self.kind = kind
+        self._store(kind, [coerce(v, kind) for v in data])
+        if len(self._k[1]) != n:
+            raise DimensionError(f"vector data has {len(self._k[1])} entries, expected {n}")
         self.n = n
-        self.data = data
         self.labels = _labels(labels, n, "labels")
 
     def __eq__(self, other):
         if not isinstance(other, DenseVector):
             return NotImplemented
-        return self.kind == other.kind and self.n == other.n and self.data == other.data
+        return self.kind == other.kind and self.n == other.n and self._k == other._k
 
     def __repr__(self):
         return f"DenseVector({self.kind}, n={self.n})"
@@ -123,14 +121,9 @@ def require_same_kind(a, b):
         raise VariantError(f"mixed scalar kinds: {a.kind} vs {b.kind}")
 
 
-def unfold(kind, den, re, im) -> tuple:
-    """Scalars of ``kind`` from kernel form: ``(den, re, im)`` int arrays for
-    exact data, ``(1, values, None)`` for float."""
-    return from_scaled(den, re, im) if kind == GQ else tuple(re)
-
-
 def product(a, b, n, k, m):
-    """Kernel-form product of an n x k and a k x m row-major array (Gaussian for 'gq')."""
+    """Kernel-form product of an n x k and a k x m row-major array (Gaussian
+    for exact data), not reduced to canonical form."""
     (da, ar, ai), (db, br, bi) = a, b
 
     def dot(x, y):
@@ -143,28 +136,34 @@ def product(a, b, n, k, m):
     return da * db, re, im
 
 
-def _kernel(x):
-    """Kernel form of a matrix's or vector's entries (see :func:`unfold`)."""
-    return to_scaled(x.data) if x.kind == GQ else (1, x.data, None)
-
-
 def mat_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Standard matrix product; exact whenever both operands are exact."""
     require_same_kind(a, b)
     if a.n_cols != b.n_rows:
         raise DimensionError(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
     n, m = a.n_rows, b.n_cols
-    data = unfold(a.kind, *product(_kernel(a), _kernel(b), n, a.n_cols, m))
-    return trusted(DenseMatrix, kind=a.kind, n_rows=n, n_cols=m, data=data,
-                   row_labels=a.row_labels, col_labels=b.col_labels)
+    return stored(DenseMatrix, a.kind, product(a._k, b._k, n, a.n_cols, m), n_rows=n,
+                  n_cols=m, row_labels=a.row_labels, col_labels=b.col_labels)
 
 
 def mat_vec(a: DenseMatrix, v: DenseVector) -> DenseVector:
     require_same_kind(a, v)
     if a.n_cols != v.n:
         raise DimensionError(f"cannot apply {a.n_rows}x{a.n_cols} to vector of length {v.n}")
-    data = unfold(a.kind, *product(_kernel(a), _kernel(v), a.n_rows, v.n, 1))
-    return trusted(DenseVector, kind=a.kind, n=a.n_rows, data=data, labels=a.row_labels)
+    return stored(DenseVector, a.kind, product(a._k, v._k, a.n_rows, v.n, 1), n=a.n_rows,
+                  labels=a.row_labels)
+
+
+def kron_k(a, b, p, r, q, s):
+    """Kernel-form Kronecker product of a p x r and a q x s array (see
+    :func:`kron` for the layout), not reduced to canonical form."""
+    (da, ar, ai), (db, br, bi) = a, b
+    pairs = [(i1 * r + j1, i2 * s + j2) for i2 in range(q) for i1 in range(p)
+             for j2 in range(s) for j1 in range(r)]
+    if ai is None:
+        return 1, [ar[x] * br[y] for x, y in pairs], None
+    return (da * db, [ar[x] * br[y] - ai[x] * bi[y] for x, y in pairs],
+            [ar[x] * bi[y] + ai[x] * br[y] for x, y in pairs])
 
 
 def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -177,24 +176,9 @@ def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     diag(B, ..., B) while kron(I_k, B) interleaves B at stride k.
     """
     require_same_kind(a, b)
-    p, r = a.n_rows, a.n_cols
-    q, s = b.n_rows, b.n_cols
-    z = zero(a.kind)
-    out = [z] * (p * q * r * s)
-    ncols = r * s
-    for i2 in range(q):
-        for j2 in range(s):
-            bij = b.data[i2 * s + j2]
-            if not bij:
-                continue
-            for i1 in range(p):
-                orow = (i1 + p * i2) * ncols
-                arow = i1 * r
-                for j1 in range(r):
-                    aij = a.data[arow + j1]
-                    if aij:
-                        out[orow + j1 + r * j2] = aij * bij
-    return DenseMatrix(a.kind, p * q, r * s, out)
+    p, r, q, s = a.n_rows, a.n_cols, b.n_rows, b.n_cols
+    return stored(DenseMatrix, a.kind, kron_k(a._k, b._k, p, r, q, s), n_rows=p * q,
+                  n_cols=r * s, row_labels=None, col_labels=None)
 
 
 def _det_bareiss(m: DenseMatrix):
@@ -205,8 +189,8 @@ def _det_bareiss(m: DenseMatrix):
     Math. Comp. 22 (1968)): multiply by conj(q), floor-divide by |q|^2.
     """
     n = m.n_rows
-    den, re, im = to_scaled(m.data)
-    rows = [(re[i * n:(i + 1) * n], im[i * n:(i + 1) * n]) for i in range(n)]
+    den, re, im = m._k
+    rows = [(list(re[i * n:(i + 1) * n]), list(im[i * n:(i + 1) * n])) for i in range(n)]
     sign, qr, qi = 1, 1, 0
     for k in range(n - 1):
         piv = next((r for r in range(k, n) if rows[r][0][k] or rows[r][1][k]), None)
@@ -262,9 +246,10 @@ def det(a: DenseMatrix):
     return _det_bareiss(a) if a.kind == GQ else _det_lu(a)
 
 
-def _gauss_rows(data, n_cols):
-    """Gaussian-integer rows ``{col: (re, im)}`` of den * data, zeros left out."""
-    _, re, im = to_scaled(data)
+def _gauss_rows(entries, n_cols):
+    """Gaussian-integer rows ``{col: (re, im)}`` of den * entries, given in
+    exact kernel form ``(den, re, im)``, zeros left out."""
+    _, re, im = entries
     return [{j: (re[k + j], im[k + j]) for j in range(n_cols) if re[k + j] or im[k + j]}
             for k in range(0, len(re), n_cols)]
 
@@ -312,24 +297,33 @@ def _rank_gauss(rows) -> int:
     entry, q the row's leading entry), divided by the gcd of its entries;
     otherwise it becomes that column's pivot row.  Each kept row is the
     primitive part of a row of minors of the matrix, so entries stay bounded.
+    When both rows are real, the update takes two products per entry.
     """
     pivots = {}
+    absent = (0, 0)
     for row in rows:
+        real = not any(y for _, y in row.values())
         while row:
             c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = row
+            if c not in pivots:
+                pivots[c] = row, real
                 break
+            piv, piv_real = pivots[c]
             (pr, pi), (qr, qi) = piv[c], row[c]
             cols = (row.keys() | piv.keys()) - {c}
+            if real and piv_real:
+                re = [pr * row.get(j, absent)[0] - qr * piv.get(j, absent)[0] for j in cols]
+                g = gcd(*re)
+                row = {j: (x // g, 0) for j, x in zip(cols, re) if x}
+                continue
             re, im = [], []
             for j in cols:
-                a, b = row.get(j, (0, 0))
-                e, f = piv.get(j, (0, 0))
+                a, b = row.get(j, absent)
+                e, f = piv.get(j, absent)
                 re.append(pr * a - pi * b - qr * e + qi * f)
                 im.append(pr * b + pi * a - qr * f - qi * e)
             row = _primitive(cols, re, im)
+            real = not any(y for _, y in row.values())
     return len(pivots)
 
 
@@ -337,19 +331,28 @@ def rank(a: DenseMatrix) -> int:
     """Exact rank; only defined for 'gq' matrices."""
     if a.kind != GQ:
         raise VariantError("rank requires exact ('gq') entries")
-    return _rank_gauss(_gauss_rows(a.data, a.n_cols))
+    return _rank_gauss(_gauss_rows(a._k, a.n_cols))
 
 
 def power_nullities(a: DenseMatrix, lam):
     """Yield nullity((a - lam*I)^k) for k = 1, 2, ...; 'gq' square ``a``.
 
-    S = den * (a - lam*I) becomes Gaussian-integer rows once; scaling changes
-    no rank, so the k-th nullity is that of S^k.  Each power is S times the
-    previous one, summed over the nonzeros only: the matrices of Jordan
-    products and their powers are sparse.
+    S = d * (a - lam*I), d the common denominator of ``a`` and ``lam``,
+    becomes Gaussian-integer rows once; scaling changes no rank, so the k-th
+    nullity is that of S^k.  Each power is S times the previous one, summed
+    over the nonzeros only: the matrices of Jordan products and their powers
+    are sparse.
     """
     n = a.n_rows
-    shift = _gauss_rows([v - lam if k % (n + 1) == 0 else v for k, v in enumerate(a.data)], n)
+    den, re, im = a._k
+    d = lcm(den, lam.re.denominator, lam.im.denominator)
+    s = d // den
+    re, im = [x * s for x in re], [y * s for y in im]
+    lr, li = int(lam.re * d), int(lam.im * d)
+    for p in range(0, n * n, n + 1):
+        re[p] -= lr
+        im[p] -= li
+    shift = _gauss_rows((d, re, im), n)
     power = shift
     while True:
         yield n - _rank_gauss(power)
@@ -415,19 +418,18 @@ def permutation_matrix(perm, kind=GQ) -> DenseMatrix:
 
 def frobenius_norm_sq(a: DenseMatrix):
     """Sum of squared entry magnitudes; a Fraction for 'gq', a float for 'cf64'."""
+    den, re, im = a._k
     if a.kind == GQ:
-        total = Fraction(0)
-        for v in a.data:
-            total += v.abs_sq()
-        return total
-    return sum(abs(v) ** 2 for v in a.data)
+        return Fraction(sum(map(mul, re, re)) + sum(map(mul, im, im)), den * den)
+    return sum(abs(v) ** 2 for v in re)
 
 
 def entry_multiset(a: DenseMatrix):
     """Sorted tuple of entries ('gq' only), for rearrangement checks."""
     if a.kind != GQ:
         raise VariantError("entry_multiset requires exact ('gq') entries")
-    return tuple(sorted(a.data, key=lambda v: (v.re, v.im)))
+    den, re, im = a._k
+    return tuple(scaled(x, y, den) for x, y in sorted(zip(re, im)))
 
 
 def matrices_close(a: DenseMatrix, b: DenseMatrix, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:

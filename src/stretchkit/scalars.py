@@ -8,7 +8,7 @@ values to floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import VariantError
 
@@ -172,17 +172,27 @@ def coerce(value, kind: str):
 
 
 def to_scaled(data):
-    """Common-denominator form ``(den, re, im)`` of exact data: ``data[k] ==
-    (re[k] + i*im[k]) / den`` with int lists and ``den`` the lcm of the
-    entries' denominators (zeros have denominator 1)."""
+    """Canonical form ``(den, re, im)`` of exact scalars: ``data[k] ==
+    (re[k] + i*im[k]) / den`` with int tuples and ``den`` the lcm of the
+    entries' denominators (zeros have denominator 1).  Lowest-terms
+    components make ``gcd(den, *re, *im) == 1``."""
     den = lcm(*{v.re.denominator for v in data}, *{v.im.denominator for v in data})
-    return (den, [v.re.numerator * (den // v.re.denominator) for v in data],
-            [v.im.numerator * (den // v.im.denominator) for v in data])
+    return (den, tuple([v.re.numerator * (den // v.re.denominator) for v in data]),
+            tuple([v.im.numerator * (den // v.im.denominator) for v in data]))
 
 
 def from_scaled(den, re, im) -> tuple:
-    """Inverse of :func:`to_scaled`: the tuple of ``(re[k] + i*im[k]) / den``."""
-    return tuple(scaled(x, y, den) for x, y in zip(re, im))
+    """Inverse of :func:`to_scaled`: the tuple of ``(re[k] + i*im[k]) / den``,
+    with one shared scalar per distinct value."""
+    memo = {}
+    get = memo.get
+    out = []
+    for key in zip(re, im):
+        v = get(key)
+        if v is None:
+            v = memo[key] = scaled(*key, den)
+        out.append(v)
+    return tuple(out)
 
 
 def scaled(re: int, im: int, den: int) -> GaussianRational:
@@ -194,12 +204,74 @@ def scaled(re: int, im: int, den: int) -> GaussianRational:
     return GaussianRational._raw(Fraction(re, den), Fraction(im, den) if im else _F0)
 
 
+def canonical(den, re, im) -> tuple:
+    """Kernel-form ``(den, re, im)`` in the stored form: int tuples over the
+    least ``den`` for exact data (one ``gcd``), ``(1, values, None)`` for float."""
+    if im is None:
+        return 1, tuple(re), None
+    g = gcd(den, *re, *im)
+    if g == 1:
+        return den, tuple(re), tuple(im)
+    return den // g, tuple([x // g for x in re]), tuple([y // g for y in im])
+
+
+def take(k, order) -> tuple:
+    """Kernel form ``k`` with its entries picked in ``order`` (positions may repeat)."""
+    den, re, im = k
+    return (den, tuple(map(re.__getitem__, order)),
+            None if im is None else tuple(map(im.__getitem__, order)))
+
+
 def trusted(cls, **slots):
     """``cls`` instance with the given slots and no per-entry :func:`coerce`."""
     obj = object.__new__(cls)
     for name, value in slots.items():
         setattr(obj, name, value)
     return obj
+
+
+class Entries:
+    """Base of matrices, vectors and tensors: entries of one scalar ``kind``.
+
+    ``_k`` is the stored form, which the kernels read and write directly.
+    Exact entries are ``(den, re, im)``: ``den > 0``, int tuples ``re`` and
+    ``im`` and ``gcd(den, *re, *im) == 1``, so equal values have equal
+    triples; entry k is ``(re[k] + i*im[k]) / den``.  Float entries are
+    ``(1, values, None)`` with a tuple of ``complex``.  Neither is mutated
+    after construction.
+    """
+
+    __slots__ = ("kind", "_k", "_data")
+
+    def _store(self, kind, values):
+        """Keep scalars already of ``kind``: converted to the stored form once,
+        and kept as the :attr:`data` view."""
+        values = tuple(values)
+        self.kind = kind
+        self._k = to_scaled(values) if kind == GQ else (1, values, None)
+        self._data = values
+
+    @property
+    def data(self) -> tuple:
+        """The entries as scalars, built from ``_k`` on first read; equal exact
+        values share one :class:`GaussianRational`."""
+        if self._data is None:
+            self._data = from_scaled(*self._k)
+        return self._data
+
+    def _entry(self, k):
+        """Entry ``k`` as a scalar, without building :attr:`data`."""
+        if self._data is not None:
+            return self._data[k]
+        den, re, im = self._k
+        return scaled(re[k], im[k], den)
+
+
+def stored(cls, kind, k, **slots):
+    """``cls`` instance holding kernel-form entries ``k`` (see
+    :func:`canonical`) and the given other slots."""
+    k = canonical(*k)
+    return trusted(cls, kind=kind, _k=k, _data=k[1] if k[2] is None else None, **slots)
 
 
 def zero(kind: str):
@@ -227,9 +299,9 @@ def close(x: complex, y: complex, rel_tol: float = REL_TOL, abs_tol: float = ABS
 
 def data_close(a, b, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> bool:
     """Whether two matrices, vectors or tensors of the same shape hold the same
-    ``kind`` and ``data``: equal entries if exact, :func:`close` ones if float."""
+    ``kind`` and entries: equal if exact, :func:`close` ones if float."""
     if a.kind != b.kind:
         return False
     if a.kind == GQ:
-        return a.data == b.data
-    return all(close(x, y, rel_tol, abs_tol) for x, y in zip(a.data, b.data))
+        return a._k == b._k
+    return all(close(x, y, rel_tol, abs_tol) for x, y in zip(a._k[1], b._k[1]))

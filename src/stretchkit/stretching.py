@@ -13,8 +13,8 @@ import random
 from .errors import DomainError
 from .indexing import IndexMap, Permutation
 from .linalg import (DenseMatrix, DenseVector, det, mat_mul, matrices_close,
-                     permutation_matrix, rank, unfold)
-from .scalars import GQ, gq, trusted, zero
+                     permutation_matrix, rank)
+from .scalars import GQ, gq, stored, take
 from .tensors import Tensor, TensorVector, average, fold, require_domain
 
 
@@ -23,17 +23,16 @@ def stretch(t: Tensor, fmap: IndexMap) -> DenseMatrix:
     require_domain(fmap, t)
     part = fmap.partition()
     cidx, k = part.class_of_position, len(part)
-    data = unfold(t.kind, *fold(t, cidx, cidx))
-    return trusted(DenseMatrix, kind=t.kind, n_rows=k, n_cols=k, data=data,
-                   row_labels=part.values, col_labels=part.values)
+    return stored(DenseMatrix, t.kind, fold(t, cidx, cidx), n_rows=k, n_cols=k,
+                  row_labels=part.values, col_labels=part.values)
 
 
 def stretch_vector(x: TensorVector, fmap: IndexMap) -> DenseVector:
     """Stretched vector: the component at F(i) accumulates x over the class."""
     require_domain(fmap, x)
     part = fmap.partition()
-    data = unfold(x.kind, *fold(x, (0,), part.class_of_position))
-    return trusted(DenseVector, kind=x.kind, n=len(part), data=data, labels=part.values)
+    return stored(DenseVector, x.kind, fold(x, (0,), part.class_of_position), n=len(part),
+                  labels=part.values)
 
 
 def kappa(t: Tensor, fmap: IndexMap):
@@ -100,19 +99,25 @@ def check_tp_witness(fmap: IndexMap, witness: SimilarityWitness) -> bool:
     for a fixed bijection rho.  If both sides agree on D, then
     D[lambda(c)] == D[rho(c)] for every cell c, and distinct entries force
     lambda(c) == rho(c); the two sides then agree on every T.
+
+    The right side needs no product: with c(a) the column of the one in row
+    a of U, (U S U^T)[a, b] = S[c(a), c(b)], a reindex of S.
     """
     domain = fmap.domain
     tp = IndexMap.mixed_radix(domain)
     u = witness.matrix
     n = len(domain)
-    ones = [p for p, v in enumerate(u.data) if v]  # row-major: one per row and column
-    if not (fmap.is_injective() and (u.n_rows, u.n_cols) == (n, n)
-            and [p // n for p in ones] == sorted(p % n for p in ones) == list(range(n))
-            and all(u.data[p] == 1 for p in ones)):
+    if not (fmap.is_injective() and u.kind == GQ and (u.n_rows, u.n_cols) == (n, n)):
         return False
-    distinct = Tensor(domain, GQ, range(1, n * n + 1))
-    rhs = mat_mul(mat_mul(u, stretch(distinct, tp)), u.transpose())
-    return stretch(distinct, fmap).data == rhs.data
+    den, re, im = u._k
+    ones = [p for p, (x, y) in enumerate(zip(re, im)) if x or y]  # row-major
+    if not ([p // n for p in ones] == sorted(p % n for p in ones) == list(range(n))
+            and all(re[p] == den and not im[p] for p in ones)):
+        return False
+    distinct = stored(Tensor, GQ, (1, range(1, n * n + 1), [0] * (n * n)), domain=domain)
+    col = [p % n for p in ones]
+    rhs = take(stretch(distinct, tp)._k, [ca * n + cb for ca in col for cb in col])
+    return stretch(distinct, fmap)._k == rhs
 
 
 def verify_averaging_decomposition(t: Tensor, fmap: IndexMap) -> dict:
@@ -129,15 +134,17 @@ def verify_averaging_decomposition(t: Tensor, fmap: IndexMap) -> dict:
     averaged = stretch(average(t, fmap, normalized=True), fmap)
     projection_preserved = matrices_close(averaged, base)
 
-    n_cls = len(part)
-    rows = []
+    n_cls, cidx = len(part), part.class_of_position
+    zeros = [0] * len(cidx) ** 2
+    stack = []  # the stretched indicators have integer entries: den 1
     for ci in range(n_cls):
         for cj in range(n_cls):
-            indicator = Tensor.from_entries(
-                t.domain, GQ,
-                {(pi, pj): 1 for pi in part.classes[ci] for pj in part.classes[cj]})
-            rows.append(list(stretch(indicator, fmap).data))
-    indicator_rank = rank(DenseMatrix.from_rows(rows, GQ))
+            indicator = stored(Tensor, GQ, (1, [int(a == ci and b == cj) for a in cidx
+                                                for b in cidx], zeros), domain=t.domain)
+            stack += stretch(indicator, fmap)._k[1]
+    indicator_rank = rank(stored(DenseMatrix, GQ, (1, stack, [0] * len(stack)),
+                                 n_rows=n_cls ** 2, n_cols=n_cls ** 2,
+                                 row_labels=None, col_labels=None))
 
     d = DenseMatrix.from_rows([[part.sizes[i] if i == j else 0 for j in range(n_cls)]
                                for i in range(n_cls)], t.kind)
@@ -158,6 +165,11 @@ def verify_averaging_decomposition(t: Tensor, fmap: IndexMap) -> dict:
     }
 
 
+def _is_zero(m: DenseMatrix) -> bool:
+    _, re, im = m._k
+    return not (any(re) or any(im))
+
+
 def kernel_preservation_check(fmap: IndexMap, sigma: Permutation,
                               trials: int, seed: int = 0) -> dict:
     """Evidence that permuting slots preserves the kernel of the stretch.
@@ -174,7 +186,6 @@ def kernel_preservation_check(fmap: IndexMap, sigma: Permutation,
         return {"check": "kernel-preservation", "passed": True,
                 "details": {"trials": 0, "vacuous": True}}
     rng = random.Random(seed)
-    zero_grid = tuple(zero(GQ) for _ in range(len(part) ** 2))
     failures = 0
     checked = 0
     for _ in range(trials):
@@ -187,10 +198,10 @@ def kernel_preservation_check(fmap: IndexMap, sigma: Permutation,
             entries[(p1, q1)] = entries.get((p1, q1), gq(0)) + coeff
             entries[(p2, q2)] = entries.get((p2, q2), gq(0)) - coeff
         t = Tensor.from_entries(fmap.domain, GQ, entries)
-        if stretch(t, fmap).data != zero_grid:
+        if not _is_zero(stretch(t, fmap)):
             continue  # construction sanity; difference units always land here
         checked += 1
-        if stretch(t, composed).data != zero_grid:
+        if not _is_zero(stretch(t, composed)):
             failures += 1
     return {"check": "kernel-preservation", "passed": failures == 0,
             "details": {"trials": checked, "failures": failures, "vacuous": False}}

@@ -8,26 +8,27 @@ matrix product.
 """
 from __future__ import annotations
 
+from math import lcm
+from operator import mul
+
 from .errors import DimensionError, DomainError, VariantError
 from .indexing import IndexMap, IndexSet, class_fold, class_grid
-from .linalg import product, require_same_kind, unfold
-from .scalars import (ABS_TOL, GQ, REL_TOL, coerce, data_close, one, scaled, to_scaled,
-                      trusted, zero)
+from .linalg import kron_k, product, require_same_kind
+from .scalars import (ABS_TOL, GQ, REL_TOL, Entries, coerce, data_close, stored, take,
+                      zero)
 
 
-class Tensor:
+class Tensor(Entries):
     """Element of Mat(A): dense entries T[i, j] for points i, j of A."""
 
-    __slots__ = ("domain", "kind", "data")
+    __slots__ = ("domain",)
 
     def __init__(self, domain: IndexSet, kind, data):
-        data = tuple(coerce(v, kind) for v in data)
+        self._store(kind, [coerce(v, kind) for v in data])
         n = len(domain)
-        if len(data) != n * n:
-            raise DimensionError(f"tensor needs {n * n} entries, got {len(data)}")
+        if len(self._k[1]) != n * n:
+            raise DimensionError(f"tensor needs {n * n} entries, got {len(self._k[1])}")
         self.domain = domain
-        self.kind = kind
-        self.data = data
 
     @classmethod
     def from_entries(cls, domain, kind, entries) -> "Tensor":
@@ -36,7 +37,10 @@ class Tensor:
         data = [zero(kind)] * (n * n)
         for (pi, pj), v in dict(entries).items():
             data[domain.position(pi) * n + domain.position(pj)] = coerce(v, kind)
-        return trusted(cls, domain=domain, kind=kind, data=tuple(data))
+        obj = object.__new__(cls)
+        obj._store(kind, data)
+        obj.domain = domain
+        return obj
 
     @property
     def size(self) -> int:
@@ -44,49 +48,50 @@ class Tensor:
 
     def at(self, pi, pj):
         n = len(self.domain)
-        return self.data[self.domain.position(pi) * n + self.domain.position(pj)]
+        return self._entry(self.domain.position(pi) * n + self.domain.position(pj))
 
     def at_pos(self, i: int, j: int):
-        return self.data[i * len(self.domain) + j]
+        return self._entry(i * len(self.domain) + j)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
         return (self.kind == other.kind and self.domain == other.domain
-                and self.data == other.data)
+                and self._k == other._k)
 
     def __repr__(self):
         return f"Tensor({self.kind}, |A|={len(self.domain)})"
 
 
-class TensorVector:
+class TensorVector(Entries):
     """Element of C^A: one entry per point of A, in canonical order."""
 
-    __slots__ = ("domain", "kind", "data")
+    __slots__ = ("domain",)
 
     def __init__(self, domain: IndexSet, kind, data):
-        data = tuple(coerce(v, kind) for v in data)
-        if len(data) != len(domain):
-            raise DimensionError(f"vector needs {len(domain)} entries, got {len(data)}")
+        self._store(kind, [coerce(v, kind) for v in data])
+        if len(self._k[1]) != len(domain):
+            raise DimensionError(f"vector needs {len(domain)} entries, got {len(self._k[1])}")
         self.domain = domain
-        self.kind = kind
-        self.data = data
 
     @classmethod
     def from_entries(cls, domain, kind, entries) -> "TensorVector":
         data = [zero(kind)] * len(domain)
         for p, v in dict(entries).items():
             data[domain.position(p)] = coerce(v, kind)
-        return trusted(cls, domain=domain, kind=kind, data=tuple(data))
+        obj = object.__new__(cls)
+        obj._store(kind, data)
+        obj.domain = domain
+        return obj
 
     def at(self, point):
-        return self.data[self.domain.position(point)]
+        return self._entry(self.domain.position(point))
 
     def __eq__(self, other):
         if not isinstance(other, TensorVector):
             return NotImplemented
         return (self.kind == other.kind and self.domain == other.domain
-                and self.data == other.data)
+                and self._k == other._k)
 
     def __repr__(self):
         return f"TensorVector({self.kind}, |A|={len(self.domain)})"
@@ -107,6 +112,8 @@ def pure_tensor(factors) -> Tensor:
     """Tensor of a list of square matrices on the rectangular set of their sizes.
 
     The entry at (i, j) is the product over slots s of factors[s][i_s, j_s].
+    Canonical order is mixed-radix order, first slot fastest, which is the
+    Kronecker layout of :func:`~stretchkit.linalg.kron`.
     """
     factors = list(factors)
     if not factors:
@@ -118,20 +125,10 @@ def pure_tensor(factors) -> Tensor:
         if not f.is_square:
             raise DimensionError("pure_tensor factors must be square")
     dims = tuple(f.n_rows for f in factors)
-    domain = IndexSet.rectangular(dims)
-    n = len(domain)
-    data = [zero(kind)] * (n * n)
-    points = domain.points
-    for i, pi in enumerate(points):
-        base = i * n
-        for j, pj in enumerate(points):
-            v = one(kind)
-            for f, ci, cj in zip(factors, pi, pj):
-                v = v * f.at(ci, cj)
-                if not v:
-                    break
-            data[base + j] = v
-    return Tensor(domain, kind, data)
+    k, n = factors[0]._k, dims[0]
+    for f in factors[1:]:
+        k, n = kron_k(k, f._k, n, n, f.n_rows, f.n_rows), n * f.n_rows
+    return stored(Tensor, kind, k, domain=IndexSet.rectangular(dims))
 
 
 def identity_tensor(domain: IndexSet, kind=GQ) -> Tensor:
@@ -140,14 +137,13 @@ def identity_tensor(domain: IndexSet, kind=GQ) -> Tensor:
 
 
 def fold(obj, rows, cols):
-    """:func:`class_fold` of a tensor's or vector's entries on the
-    ``class_grid(rows, cols)``, in the kernel form of
-    :func:`~stretchkit.linalg.unfold`."""
+    """:func:`class_fold` of a tensor's or vector's stored entries on the
+    ``class_grid(rows, cols)``, in the same kernel form."""
     grid = class_grid(rows, cols)
-    if obj.kind == GQ:
-        den, re, im = to_scaled(obj.data)
-        return den, class_fold(re, grid), class_fold(im, grid)
-    return 1, class_fold(obj.data, grid, 0j), None
+    den, re, im = obj._k
+    if im is None:
+        return 1, class_fold(re, grid, 0j), None
+    return den, class_fold(re, grid), class_fold(im, grid)
 
 
 def convolve(t1: Tensor, t2: Tensor, fmap: IndexMap) -> Tensor:
@@ -161,14 +157,14 @@ def convolve(t1: Tensor, t2: Tensor, fmap: IndexMap) -> Tensor:
     part = fmap.partition()
     n, k, cidx = t1.size, len(part), part.class_of_position
     out = product(fold(t1, range(n), cidx), fold(t2, cidx, range(n)), n, k, n)
-    return trusted(Tensor, domain=t1.domain, kind=t1.kind, data=unfold(t1.kind, *out))
+    return stored(Tensor, t1.kind, out, domain=t1.domain)
 
 
 def star(t: Tensor) -> Tensor:
     """Adjoint: (star T)[i, j] = T[j, i]."""
     n = t.size
-    data = tuple(t.data[j * n + i] for i in range(n) for j in range(n))
-    return trusted(Tensor, domain=t.domain, kind=t.kind, data=data)
+    order = [j * n + i for i in range(n) for j in range(n)]
+    return stored(Tensor, t.kind, take(t._k, order), domain=t.domain)
 
 
 def act(t: Tensor, x: TensorVector, fmap: IndexMap) -> TensorVector:
@@ -178,7 +174,7 @@ def act(t: Tensor, x: TensorVector, fmap: IndexMap) -> TensorVector:
     part = fmap.partition()
     n, k, cidx = t.size, len(part), part.class_of_position
     out = product(fold(t, range(n), cidx), fold(x, cidx, (0,)), n, k, 1)
-    return trusted(TensorVector, domain=t.domain, kind=t.kind, data=unfold(t.kind, *out))
+    return stored(TensorVector, t.kind, out, domain=t.domain)
 
 
 def average(t: Tensor, fmap: IndexMap, normalized: bool = True) -> Tensor:
@@ -187,19 +183,22 @@ def average(t: Tensor, fmap: IndexMap, normalized: bool = True) -> Tensor:
     Raw mode replaces each class-pair block of T by the block sum, exactly as
     the double convolution with Id produces.  Normalized mode uses the
     reweighted identity with 1/|class| on the diagonal, so each block becomes
-    its mean; only this variant is a projection.
+    its mean; only this variant is a projection.  Exact means share the
+    denominator ``den * lcm(block sizes)``.
     """
     require_domain(fmap, t)
     part = fmap.partition()
     cidx, sizes, k = part.class_of_position, part.sizes, len(part)
     den, re, im = fold(t, cidx, cidx)
     counts = [a * b if normalized else 1 for a in sizes for b in sizes]
-    if t.kind == GQ:
-        blocks = [scaled(x, y, den * c) for x, y, c in zip(re, im, counts)]
+    if im is None:
+        re = [v / c if v and c > 1 else v for v, c in zip(re, counts)]
     else:
-        blocks = [v / c if v and c > 1 else v for v, c in zip(re, counts)]
-    data = tuple(blocks[ci * k + cj] for ci in cidx for cj in cidx)
-    return trusted(Tensor, domain=t.domain, kind=t.kind, data=data)
+        m = lcm(*counts)
+        scale = [m // c for c in counts]
+        den, re, im = den * m, list(map(mul, re, scale)), list(map(mul, im, scale))
+    order = [ci * k + cj for ci in cidx for cj in cidx]
+    return stored(Tensor, t.kind, take((den, re, im), order), domain=t.domain)
 
 
 def tensors_close(a: Tensor, b: Tensor, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:

@@ -6,7 +6,7 @@ fold, common denominator or Bareiss step, so the kernels get a second,
 independent code path on every input.
 """
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from stretchkit.errors import DimensionError, VariantError
 from stretchkit.indexing import IndexMap, IndexSet
-from stretchkit.linalg import (DenseMatrix, DenseVector, det, mat_mul, mat_vec,
+from stretchkit.linalg import (DenseMatrix, DenseVector, det, kron, mat_mul, mat_vec,
                                matrices_close)
 from stretchkit.scalars import CF64, GQ, REL_TOL, GaussianRational, close, data_close
 from stretchkit.stretching import kappa, stretch, stretch_vector
-from stretchkit.tensors import Tensor, TensorVector, act, average, convolve
+from stretchkit.tensors import (Tensor, TensorVector, act, average, convolve, pure_tensor,
+                               star)
 
 BIG = 2 ** 70
 # Coprime and shared denominators, up to a 61-bit prime.
@@ -267,3 +268,108 @@ def test_mat_mul_and_mat_vec_reject_shapes_and_mixed_kinds(data, n, k, kind):
         mat_mul(a, DenseMatrix(other, k, n, data.draw(values(k * n, other))))
     with pytest.raises(VariantError):
         mat_vec(a, DenseVector(other, k, data.draw(values(k, other))))
+
+
+# -- the stored form ------------------------------------------------------------
+
+def canonical(obj) -> bool:
+    """Exact entries are ``(den, re, im)`` int tuples, den > 0, in lowest
+    terms over one denominator; float entries ``(1, complex tuple, None)``."""
+    den, re, im = obj._k
+    if obj.kind == CF64:
+        return (den, im) == (1, None) and type(re) is tuple and \
+            all(type(v) is complex for v in re)
+    return (type(re) is tuple and type(im) is tuple and len(re) == len(im)
+            and all(type(x) is int for x in (den, *re, *im))
+            and den > 0 and gcd(den, *re, *im) == 1)
+
+
+def kernel_outputs(data, fmap, kind):
+    """Every constructor and every kernel, each on fresh inputs; returns the
+    inputs (to check they are left as they were) and the outputs."""
+    n = len(fmap.domain)
+    t1, t2 = tensor(data.draw, fmap, kind), tensor(data.draw, fmap, kind)
+    x = TensorVector(fmap.domain, kind, data.draw(values(n, kind)))
+    points = fmap.domain.points
+    picked = data.draw(st.lists(st.integers(0, n * n - 1), max_size=4, unique=True))
+    t3 = Tensor.from_entries(fmap.domain, kind, {(points[p // n], points[p % n]): t1.data[p]
+                                                 for p in picked})
+    x3 = TensorVector.from_entries(fmap.domain, kind, {points[0]: x.data[0]})
+    m = stretch(t1, fmap)
+    k = m.n_rows
+    a = DenseMatrix.from_rows([list(m.data[i * k:(i + 1) * k]) for i in range(k)], kind)
+    v = DenseVector(kind, k, data.draw(values(k, kind)))
+    inputs = [t1, t2, x, t3, x3, a, v]
+    outputs = [stretch(t2, fmap), stretch_vector(x, fmap), act(t1, x, fmap),
+               average(t1, fmap), average(t1, fmap, normalized=False),
+               convolve(t1, t2, fmap), star(t1), mat_mul(a, m), mat_vec(a, v), kron(a, m),
+               m.transpose(), pure_tensor([a, m]), m]
+    return inputs, outputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), maps(max_points=8), kinds)
+def test_constructors_and_kernels_store_the_canonical_form(data, fmap, kind):
+    inputs, outputs = kernel_outputs(data, fmap, kind)
+    assert all(canonical(obj) for obj in inputs + outputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), maps(max_points=8), kinds)
+def test_kernels_leave_their_inputs_unchanged(data, fmap, kind):
+    t1, t2 = tensor(data.draw, fmap, kind), tensor(data.draw, fmap, kind)
+    x = TensorVector(fmap.domain, kind, data.draw(values(len(fmap.domain), kind)))
+    before = [(obj._k, obj.data) for obj in (t1, t2, x)]
+    m = stretch(t1, fmap)
+    m_before = (m._k, m.data)
+    for run in (lambda: act(t1, x, fmap), lambda: average(t1, fmap),
+                lambda: average(t1, fmap, normalized=False), lambda: convolve(t1, t2, fmap),
+                lambda: star(t1), lambda: stretch_vector(x, fmap), lambda: mat_mul(m, m),
+                lambda: kron(m, m), lambda: m.transpose(), lambda: det(m)):
+        run()
+    assert [(obj._k, obj.data) for obj in (t1, t2, x)] == before
+    assert (m._k, m.data) == m_before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), maps(max_points=8), kinds)
+def test_equality_of_scalar_built_and_kernel_built_objects(data, fmap, kind):
+    """``==`` compares stored forms; it must agree with comparing ``.data``,
+    whichever way each side was built."""
+    t1, t2 = tensor(data.draw, fmap, kind), tensor(data.draw, fmap, kind)
+    built = [convolve(t1, t2, fmap), average(t1, fmap), star(t1), t1, t2]
+    rebuilt = [Tensor(t.domain, kind, t.data) for t in built]
+    for a, b in zip(built, rebuilt):
+        assert a == b and b == a and a._k == b._k
+    for a in built:
+        for b in rebuilt:
+            assert (a == b) == (a.data == b.data)
+    m = stretch(t1, fmap)
+    k = m.n_rows
+    assert m == DenseMatrix(kind, k, k, m.data) == \
+        DenseMatrix.from_rows([list(m.data[i * k:(i + 1) * k]) for i in range(k)], kind)
+    mt = m.transpose()
+    assert (m == mt) == (m.data == mt.data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), maps(), st.booleans())
+def test_average_view_shares_one_scalar_per_block(data, fmap, normalized):
+    """The memory guard: an averaged tensor's ``.data`` holds at most one
+    object per class-pair block, k^2 for k classes."""
+    t = tensor(data.draw, fmap, GQ)
+    out = average(t, fmap, normalized)
+    k = len(fmap.partition())
+    assert len({id(v) for v in out.data}) <= k * k
+    assert out.data == tuple(ref_average(t, fmap, normalized))
+
+
+def test_zero_inputs_store_den_one_and_zero_is_shared():
+    domain = IndexSet.rectangular((2, 2))
+    t = Tensor(domain, GQ, [Fraction(0)] * 16)
+    fmap = IndexMap.linear(domain, (1, 1))
+    assert t._k == (1, (0,) * 16, (0,) * 16)
+    for obj in (stretch(t, fmap), average(t, fmap), convolve(t, t, fmap)):
+        assert obj._k[0] == 1 and not any(obj._k[1]) and not any(obj._k[2])
+        assert len({id(v) for v in obj.data}) == 1
+    assert kappa(t, fmap) == ZERO

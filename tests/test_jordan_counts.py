@@ -183,6 +183,33 @@ def test_dense_gaussian_ranks_stay_exact_and_bounded():
         assert rank(DenseMatrix.from_rows(rows, GQ)) == ref_rank(rows) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 7), st.integers(1, 7), st.integers(1, 4))
+def test_rank_of_real_and_mixed_rows_matches_fraction_elimination(data, n, m, k):
+    """Real rows take the two-product update; a row made real by dividing
+    out a Gaussian gcd, and real rows meeting non-real pivots, take both."""
+    ints = st.integers(-9, 9)
+    real = [[gq(data.draw(ints)) for _ in range(m)] for _ in range(n)]
+    low = ref_mul([[gq(data.draw(ints)) for _ in range(k)] for _ in range(n)],
+                  [[gq(data.draw(ints)) for _ in range(m)] for _ in range(k)])
+    unit = GaussianRational(1, 1)
+    mixed = [[v * unit if i % 2 else v for v in row] for i, row in enumerate(low)]
+    mixed.append([data.draw(entries) for _ in range(m)])
+    for rows in (real, low, mixed):
+        assert rank(DenseMatrix.from_rows(rows, GQ)) == ref_rank(rows)
+
+
+def test_dense_integer_ranks_match_fraction_elimination():
+    rng = random.Random(11)
+
+    def rand(rows, cols):
+        return [[gq(rng.randint(-9, 9)) for _ in range(cols)] for _ in range(rows)]
+    full = rand(32, 32)
+    deficient = ref_mul(rand(32, 20), rand(20, 32))
+    for rows, expected in ((full, 32), (deficient, 20)):
+        assert rank(DenseMatrix.from_rows(rows, GQ)) == ref_rank(rows) == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.integers(1, 5), st.sampled_from(EIGENVALUES))
 def test_nullity_sequence_matches_fraction_powers(data, n, lam):

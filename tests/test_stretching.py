@@ -309,6 +309,21 @@ def test_tp_witness_with_two_swapped_entries_is_rejected():
     assert not check_tp_witness(f, SimilarityWitness(good.perm, negated))
 
 
+def test_tp_witness_whose_perm_and_matrix_disagree_is_rejected():
+    # The check reads the permutation from U; a correct perm beside a wrong
+    # U must not make it pass.
+    dom = IndexSet.rectangular((2, 3))
+    f = rand_injective_table(random.Random(5), dom)
+    good = tp_similarity_witness(f)
+    wrong = list(good.perm)
+    wrong[0], wrong[5] = wrong[5], wrong[0]
+    assert check_tp_witness(f, good)
+    assert not check_tp_witness(f, SimilarityWitness(good.perm, permutation_matrix(wrong, GQ)))
+    shifted = [(v + 1) % 6 for v in good.perm]
+    assert not check_tp_witness(f, SimilarityWitness(good.perm,
+                                                      permutation_matrix(shifted, GQ)))
+
+
 def test_tp_witness_rejects_non_injective_and_non_rectangular():
     dom = IndexSet.rectangular((2, 2))
     with pytest.raises(DomainError):
