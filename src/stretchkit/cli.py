@@ -39,6 +39,36 @@ def _default_seed() -> int:
         return 0
 
 
+# Each tensor command: help, operand flags (loaded in order), an extra flag or
+# None, and a lambda from (args, *operands, map) to the output JSON.  Lambdas
+# look library functions up per call, so functions a tracer swaps are seen.
+_TENSOR_COMMANDS = {
+    "stretch": ("stretch a tensor to a labelled matrix", ("tensor",), None,
+                lambda args, t, m: sz.matrix_to_json(stretch(t, m))),
+    "stretch-vector": ("stretch a vector", ("vector",), None,
+                       lambda args, v, m: sz.vector_to_json(stretch_vector(v, m))),
+    "convolve": ("convolution product of two tensors", ("left", "right"), None,
+                 lambda args, a, b, m: sz.tensor_to_json(convolve(a, b, m))),
+    "act": ("act with a tensor on a vector", ("tensor", "vector"), None,
+            lambda args, t, v, m: sz.tensor_vector_to_json(act(t, v, m))),
+    "average": ("class-averaging of a tensor", ("tensor",), "raw",
+                lambda args, t, m: sz.tensor_to_json(average(t, m, normalized=not args.raw))),
+    "kappa": ("determinant of the stretched matrix", ("tensor",), None,
+              lambda args, t, m: {"scalar": t.kind,
+                                  "value": sz.scalar_to_json(kappa(t, m), t.kind)}),
+    "permute": ("stretch through a permuted map", ("tensor",), "sigma",
+                lambda args, t, m: sz.matrix_to_json(
+                    permute_stretch(t, m, Permutation.from_string(args.sigma)))),
+}
+_OPERAND_HELP = {"tensor": "tensor JSON path", "left": "left tensor JSON path",
+                 "right": "right tensor JSON path", "vector": "vector JSON path"}
+_EXTRA_FLAGS = {
+    "sigma": {"required": True,
+              "help": "slot permutation in one-line notation, e.g. \"2,1\""},
+    "raw": {"action": "store_true", "help": "unnormalized averaging (block sums, not means)"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stretchkit",
@@ -46,44 +76,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Jordan forms of stretched Kronecker products.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def io_flags(p, *, tensor=False, left_right=False, vector=False, fmap=False,
-                 spec=False, sigma=False, raw=False):
-        if tensor:
-            p.add_argument("--tensor", required=True, help="tensor JSON path")
-        if left_right:
-            p.add_argument("--left", required=True, help="left tensor JSON path")
-            p.add_argument("--right", required=True, help="right tensor JSON path")
-        if vector:
-            p.add_argument("--vector", required=True, help="vector JSON path")
-        if fmap:
-            p.add_argument("--map", required=True, dest="map_path",
-                           help="index map JSON path")
-        if spec:
-            p.add_argument("--spec", required=True, help="Jordan spec list JSON path")
-        if sigma:
-            p.add_argument("--sigma", required=True,
-                           help="slot permutation in one-line notation, e.g. \"2,1\"")
-        if raw:
-            p.add_argument("--raw", action="store_true",
-                           help="unnormalized averaging (block sums, not means)")
+    for name, (help_text, operands, extra, _) in _TENSOR_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for operand in operands:
+            p.add_argument(f"--{operand}", required=True, help=_OPERAND_HELP[operand])
+        p.add_argument("--map", required=True, dest="map_path", help="index map JSON path")
+        if extra:
+            p.add_argument(f"--{extra}", **_EXTRA_FLAGS[extra])
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--pretty", action="store_true",
                        help="human-readable output instead of JSON")
-
-    io_flags(sub.add_parser("stretch", help="stretch a tensor to a labelled matrix"),
-             tensor=True, fmap=True)
-    io_flags(sub.add_parser("stretch-vector", help="stretch a vector"),
-             vector=True, fmap=True)
-    io_flags(sub.add_parser("convolve", help="convolution product of two tensors"),
-             left_right=True, fmap=True)
-    io_flags(sub.add_parser("act", help="act with a tensor on a vector"),
-             tensor=True, vector=True, fmap=True)
-    io_flags(sub.add_parser("average", help="class-averaging of a tensor"),
-             tensor=True, fmap=True, raw=True)
-    io_flags(sub.add_parser("kappa", help="determinant of the stretched matrix"),
-             tensor=True, fmap=True)
-    io_flags(sub.add_parser("permute", help="stretch through a permuted map"),
-             tensor=True, fmap=True, sigma=True)
 
     jordan_p = sub.add_parser("jordan", help="Jordan type of an n-fold stretched product")
     jordan_p.add_argument("--spec", required=True, help="JSON array of Jordan specs")
@@ -153,8 +155,11 @@ def _pretty(obj) -> str:
 def _emit(obj, out_path, pretty: bool) -> None:
     text = _pretty(obj) if pretty else sz.dumps(obj)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -169,56 +174,15 @@ def _load_map(path, domain=None):
     return sz.index_map_from_json(obj, domain, path="map")
 
 
-def _operands(args, *flags):
-    """Load the tensor/vector files named by ``flags``, then the map on the
-    first one's domain."""
+def _cmd_tensor(args) -> int:
+    """Load the operands, then the map on the first one's domain; emit the result."""
+    _, operands, _, run = _TENSOR_COMMANDS[args.command]
     loaded = [sz.tensor_vector_from_json(sz.load_json_file(args.vector), path="vector")
-              if flag == "vector" else
-              sz.tensor_from_json(sz.load_json_file(getattr(args, flag)), path="tensor")
-              for flag in flags]
-    return (*loaded, _load_map(args.map_path, loaded[0].domain))
-
-
-def _cmd_stretch(args) -> int:
-    _emit(sz.matrix_to_json(stretch(*_operands(args, "tensor"))), args.out, args.pretty)
-    return EXIT_OK
-
-
-def _cmd_stretch_vector(args) -> int:
-    result = stretch_vector(*_operands(args, "vector"))
-    _emit(sz.vector_to_json(result), args.out, args.pretty)
-    return EXIT_OK
-
-
-def _cmd_convolve(args) -> int:
-    result = convolve(*_operands(args, "left", "right"))
-    _emit(sz.tensor_to_json(result), args.out, args.pretty)
-    return EXIT_OK
-
-
-def _cmd_act(args) -> int:
-    result = act(*_operands(args, "tensor", "vector"))
-    _emit(sz.tensor_vector_to_json(result), args.out, args.pretty)
-    return EXIT_OK
-
-
-def _cmd_average(args) -> int:
-    result = average(*_operands(args, "tensor"), normalized=not args.raw)
-    _emit(sz.tensor_to_json(result), args.out, args.pretty)
-    return EXIT_OK
-
-
-def _cmd_kappa(args) -> int:
-    tensor, fmap = _operands(args, "tensor")
-    value = sz.scalar_to_json(kappa(tensor, fmap), tensor.kind)
-    _emit({"scalar": tensor.kind, "value": value}, args.out, args.pretty)
-    return EXIT_OK
-
-
-def _cmd_permute(args) -> int:
-    tensor, fmap = _operands(args, "tensor")
-    result = permute_stretch(tensor, fmap, Permutation.from_string(args.sigma))
-    _emit(sz.matrix_to_json(result), args.out, args.pretty)
+              if operand == "vector" else
+              sz.tensor_from_json(sz.load_json_file(getattr(args, operand)), path="tensor")
+              for operand in operands]
+    _emit(run(args, *loaded, _load_map(args.map_path, loaded[0].domain)),
+          args.out, args.pretty)
     return EXIT_OK
 
 
@@ -266,18 +230,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 
-_HANDLERS = {
-    "stretch": _cmd_stretch,
-    "stretch-vector": _cmd_stretch_vector,
-    "convolve": _cmd_convolve,
-    "act": _cmd_act,
-    "average": _cmd_average,
-    "kappa": _cmd_kappa,
-    "permute": _cmd_permute,
-    "jordan": _cmd_jordan,
-    "tp-witness": _cmd_tp_witness,
-    "verify": _cmd_verify,
-}
+_HANDLERS = {"jordan": _cmd_jordan, "tp-witness": _cmd_tp_witness, "verify": _cmd_verify}
 
 
 def main(argv=None) -> int:
@@ -287,7 +240,7 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _HANDLERS[args.command](args)
+        return _HANDLERS.get(args.command, _cmd_tensor)(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -18,7 +18,7 @@ from functools import reduce
 
 from .errors import DimensionError, DomainError, VariantError
 from .linalg import DenseMatrix, kron, power_nullities
-from .scalars import GQ, GaussianRational, coerce, gq, one, trusted, zero
+from .scalars import GQ, GaussianRational, gq, one, trusted, zero
 
 
 def _exact_eig(value) -> GaussianRational:
@@ -93,15 +93,15 @@ def _canonical(tally) -> tuple:
                  for size in sorted(sizes, reverse=True))
 
 
-def jordan_block(size: int, eig, kind=GQ) -> DenseMatrix:
-    """Upper bidiagonal cell: eigenvalue on the diagonal, ones above it."""
+def jordan_block(size: int, eig) -> DenseMatrix:
+    """Upper bidiagonal exact cell: eigenvalue on the diagonal, ones above it."""
     if size < 1:
         raise DimensionError("Jordan block sizes must be positive")
-    eig = _exact_eig(eig) if kind == GQ else coerce(eig, kind)
-    z, o = zero(kind), one(kind)
+    eig = _exact_eig(eig)
+    z, o = zero(GQ), one(GQ)
     data = [eig if j == i else o if j == i + 1 else z
             for i in range(size) for j in range(size)]
-    return DenseMatrix(kind, size, size, data)
+    return DenseMatrix(GQ, size, size, data)
 
 
 def _cells(spec: JordanSpec):

@@ -1,12 +1,11 @@
 """Dense matrices and vectors over a single scalar kind.
 
 The kernel is deliberately small: product, Kronecker product, determinant,
-rank and nullity sequences.  Exact ("gq") products, Kronecker products,
-determinants, ranks and nullity sequences run on the stored integer form of
-:class:`~stretchkit.scalars.Entries` (one dot product shared with the tensor
-kernels, Bareiss and fraction-free elimination), the exact inverse on
-Fraction elimination; float ("cf64") data through the same dot product and
-pivoted LU.
+inverse, rank and nullity sequences.  Exact ("gq") data runs on the stored
+integer form of :class:`~stretchkit.scalars.Entries` (one dot product shared
+with the tensor kernels, one Bareiss elimination for determinant and inverse,
+fraction-free row reduction for ranks); float ("cf64") data on the same dot
+product and one pivoted LU elimination.
 Row and column labels are carried verbatim and never interpreted here.
 """
 from __future__ import annotations
@@ -16,8 +15,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionError, VariantError
-from .scalars import (ABS_TOL, CF64, GQ, REL_TOL, Entries, coerce, data_close, one, scaled,
-                      stored, take, zero)
+from .scalars import (ABS_TOL, GQ, REL_TOL, Entries, coerce, data_close, one, scaled, stored,
+                      take, zero)
 
 
 def _labels(labels, n, what):
@@ -181,26 +180,26 @@ def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
                   n_cols=r * s, row_labels=None, col_labels=None)
 
 
-def _det_bareiss(m: DenseMatrix):
-    """Fraction-free Bareiss elimination on Gaussian integers.
-
-    Runs on den * m as integer (real, imaginary) rows; det(m) = det(den * m)
-    / den^n.  Each step divides exactly by the previous pivot q (Bareiss,
-    Math. Comp. 22 (1968)): multiply by conj(q), floor-divide by |q|^2.
-    """
-    n = m.n_rows
-    den, re, im = m._k
-    rows = [(list(re[i * n:(i + 1) * n]), list(im[i * n:(i + 1) * n])) for i in range(n)]
+def _bareiss(m: DenseMatrix, above):
+    """Bareiss elimination on den * m, or Gauss-Jordan on [den * m | I] with
+    ``above``: ``(sign, pr, pi, rows)`` over Z[i], the last pivot p = sign *
+    det(den * m) (0 if a column has none).  Gauss-Jordan leaves p * (den*m)^-1
+    on the right.  Each step divides exactly by the previous pivot q (Bareiss,
+    Math. Comp. 22 (1968)), as conj(q) // |q|^2; only later columns change."""
+    n, (_, re, im) = m.n_rows, m._k
+    rows = [(list(re[i:i + n]), list(im[i:i + n])) for i in range(0, n * n, n)]
+    for i, (xs, ys) in enumerate(rows if above else ()):
+        xs[n:], ys[n:] = [int(i == j) for j in range(n)], [0] * n
     sign, qr, qi = 1, 1, 0
-    for k in range(n - 1):
+    for k in range(n if above else n - 1):
         piv = next((r for r in range(k, n) if rows[r][0][k] or rows[r][1][k]), None)
         if piv is None:
-            return zero(GQ)
+            return 0, 0, 0, rows
         if piv != k:
             rows[k], rows[piv], sign = rows[piv], rows[k], -sign
         kr, ki = rows[k]
         pr, pi, norm = kr[k], ki[k], qr * qr + qi * qi
-        for i in range(k + 1, n):
+        for i in [*range(k), *range(k + 1, n)] if above else range(k + 1, n):
             ar, ai = rows[i]
             mr, mi = ar[k], ai[k]
             cols = list(zip(ar, ai, kr, ki))[k + 1:]
@@ -213,37 +212,41 @@ def _det_bareiss(m: DenseMatrix):
                 xr, xi = [a // qr for a in xr], [b // qr for b in xi]
             rows[i] = (ar[:k + 1] + xr, ai[:k + 1] + xi)
         qr, qi = pr, pi
-    return scaled(sign * rows[-1][0][-1], sign * rows[-1][1][-1], den ** n)
+    return sign, rows[-1][0][n - 1], rows[-1][1][n - 1], rows
 
 
-def _det_lu(m: DenseMatrix):
-    """Partially pivoted LU determinant for float data."""
-    n = m.n_rows
-    rows = m.to_rows()
+def _lu(m: DenseMatrix, above):
+    """Partially pivoted elimination on float ``m``, or with ``above`` on [m | I]
+    clearing above the pivots too: ``(det(m), rows)``; stops at a zero pivot."""
+    n, rows = m.n_rows, m.to_rows()
+    for i, row in enumerate(rows if above else ()):
+        row += [complex(i == j) for j in range(n)]
     det = complex(1.0)
     for k in range(n):
         piv = max(range(k, n), key=lambda r: abs(rows[r][k]))
         if rows[piv][k] == 0:
-            return 0j
+            return 0j, rows
         if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = -det
+            rows[k], rows[piv], det = rows[piv], rows[k], -det
         pk = rows[k][k]
         det *= pk
-        for i in range(k + 1, n):
+        for i in [*range(k), *range(k + 1, n)] if above else range(k + 1, n):
             f = rows[i][k] / pk
             if f:
                 ri, rk = rows[i], rows[k]
-                for j in range(k + 1, n):
+                for j in range(k + 1, len(ri)):
                     ri[j] -= f * rk[j]
-    return det
+    return det, rows
 
 
 def det(a: DenseMatrix):
     """Determinant; exact for 'gq' matrices."""
     if not a.is_square:
         raise DimensionError("determinant requires a square matrix")
-    return _det_bareiss(a) if a.kind == GQ else _det_lu(a)
+    if a.kind != GQ:
+        return _lu(a, False)[0]
+    sign, pr, pi, _ = _bareiss(a, False)
+    return scaled(sign * pr, sign * pi, a._k[0] ** a.n_rows)
 
 
 def _gauss_rows(entries, n_cols):
@@ -379,29 +382,26 @@ def nullity_sequence(a: DenseMatrix, lam, k_max: int):
 
 
 def inverse(a: DenseMatrix) -> DenseMatrix:
-    """Exact (gq) or partially pivoted (cf64) inverse via Gauss-Jordan."""
+    """Gauss-Jordan inverse, exact for 'gq' matrices; the labels swap sides."""
     if not a.is_square:
         raise DimensionError("inverse requires a square matrix")
     n = a.n_rows
-    rows = a.to_rows()
-    o, z = one(a.kind), zero(a.kind)
-    aug = [rows[i] + [o if i == j else z for j in range(n)] for i in range(n)]
-    for c in range(n):
-        if a.kind == CF64:
-            piv = max(range(c, n), key=lambda r: abs(aug[r][c]))
-        else:
-            piv = next((r for r in range(c, n) if aug[r][c]), None)
-        if piv is None or not aug[piv][c]:
+    if a.kind != GQ:
+        _, rows = _lu(a, True)
+        if not all(rows[i][i] for i in range(n)):
             raise DimensionError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [v / pv for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    data = [aug[i][n + j] for i in range(n) for j in range(n)]
-    return DenseMatrix(a.kind, n, n, data, a.col_labels, a.row_labels)
+        k = (1, [v / row[i] for i, row in enumerate(rows) for v in row[n:]], None)
+    else:
+        # R = p * (den*a)^-1, so a^-1 = den * R / p = den * R * conj(p) / |p|^2.
+        _, pr, pi, rows = _bareiss(a, True)
+        if not (pr or pi):
+            raise DimensionError("matrix is singular")
+        den = a._k[0]
+        right = [(x * den, y * den) for xs, ys in rows for x, y in zip(xs[n:], ys[n:])]
+        k = (pr * pr + pi * pi, [x * pr + y * pi for x, y in right],
+             [y * pr - x * pi for x, y in right])
+    return stored(DenseMatrix, a.kind, k, n_rows=n, n_cols=n,
+                  row_labels=a.col_labels, col_labels=a.row_labels)
 
 
 def permutation_matrix(perm, kind=GQ) -> DenseMatrix:

@@ -129,10 +129,6 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def abs_sq(self) -> Fraction:
-        """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
-
     def __repr__(self):
         return f"gq({self.re!s}, {self.im!s})"
 

@@ -393,5 +393,5 @@ def load_json_file(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, huge ints, deep nesting
         raise ParseError(f"{path}: invalid JSON ({exc})") from None

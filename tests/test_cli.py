@@ -315,6 +315,60 @@ def test_out_flag_writes_file(tmp_path, fixtures_dir, capsys):
     assert json.loads(out_path.read_text())["rows"] == 2
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, fixtures_dir, capsys, target):
+    out_path = tmp_path / "absent" / "x.json" if target == "missing-dir" else tmp_path
+    code, out, err = run_cli(["stretch",
+                              "--tensor", str(fixtures_dir / "max_AB_tensor.json"),
+                              "--map", str(fixtures_dir / "map_max.json"),
+                              "--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: cannot write {out_path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [
+    b'\xff\xfe{"kind": "max"}',
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"kind": "linear", "k": [' + b"1" * 5000 + b', 1]}',
+], ids=["not-utf8", "nested-too-deep", "integer-past-digit-limit"])
+def test_unreadable_json_exits_2(tmp_path, fixtures_dir, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli(["stretch", "--tensor", str(bad),
+                              "--map", str(fixtures_dir / "map_max.json")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {bad}: invalid JSON (")
+    assert err.count("\n") == 1
+
+
+USAGE = {
+    None: "[-h] {stretch,stretch-vector,convolve,act,average,kappa,permute,jordan,"
+          "tp-witness,verify} ...",
+    "stretch": "[-h] --tensor TENSOR --map MAP_PATH [--out OUT] [--pretty]",
+    "stretch-vector": "[-h] --vector VECTOR --map MAP_PATH [--out OUT] [--pretty]",
+    "convolve": "[-h] --left LEFT --right RIGHT --map MAP_PATH [--out OUT] [--pretty]",
+    "act": "[-h] --tensor TENSOR --vector VECTOR --map MAP_PATH [--out OUT] [--pretty]",
+    "average": "[-h] --tensor TENSOR --map MAP_PATH [--raw] [--out OUT] [--pretty]",
+    "kappa": "[-h] --tensor TENSOR --map MAP_PATH [--out OUT] [--pretty]",
+    "permute": "[-h] --tensor TENSOR --map MAP_PATH --sigma SIGMA [--out OUT] [--pretty]",
+    "jordan": "[-h] --spec SPEC [--verify] [--out OUT] [--pretty]",
+    "tp-witness": "[-h] --map MAP_PATH [--out OUT] [--pretty]",
+    "verify": "[-h] [--trials TRIALS] [--seed SEED] [--out OUT] [--pretty] suite",
+}
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_usage_line_keeps_each_commands_flags_in_order(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line, whatever the terminal
+    argv = [command] if command else []
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    prog = " ".join(["stretchkit"] + argv)
+    assert capsys.readouterr().out.splitlines()[0] == f"usage: {prog} {USAGE[command]}"
+
+
 def test_pretty_output_renders_table(fixtures_dir, capsys):
     code, out, _ = run_cli(["stretch",
                             "--tensor", str(fixtures_dir / "max_AB_tensor.json"),

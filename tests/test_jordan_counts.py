@@ -1,23 +1,26 @@
-"""Counted Jordan specs and the Gaussian-integer rank path, checked from outside.
+"""Counted Jordan specs, the Gaussian-integer rank path and the exact inverse,
+checked from outside.
 
 The references here are written out in full: the pairwise closed form and
 its expansion over every block pair, as lists of blocks, and Gaussian
 elimination with ``GaussianRational`` (Fraction) arithmetic.  None of them
 goes through ``JordanSpec.counts``, the integer power chain or the
-fraction-free elimination they check.
+fraction-free eliminations they check.
 """
 import random
 import time
 from fractions import Fraction
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stretchkit.errors import DimensionError
 from stretchkit.jordan import (JordanSpec, jordan_nfold, jordan_oracle,
                                jordan_product, nfold_eigenvalues,
                                nfold_product_matrix, spec_matrix)
-from stretchkit.linalg import DenseMatrix, nullity_sequence, rank
+from stretchkit.linalg import DenseMatrix, inverse, nullity_sequence, rank
 from stretchkit.scalars import GQ, GaussianRational, gq
 
 BIG = 2 ** 70
@@ -251,6 +254,26 @@ def ref_inverse(rows):
                 f = aug[r][c]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
     return [row[n:] for row in aug]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 6), st.booleans(), st.booleans())
+def test_exact_inverse_matches_fraction_gauss_jordan(data, n, leading_zero, dependent):
+    """A zero leading entry forces a row swap, ``entries`` gives non-real pivots
+    and denominators up to 2^61 - 1, and a dependent last row makes it singular."""
+    values = data.draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    if leading_zero and n > 1:
+        values[0] = ZERO
+    if dependent and n > 1:
+        c = data.draw(entries)
+        values[-n:] = [c * v for v in values[:n]]
+    a = DenseMatrix(GQ, n, n, values)
+    rows = a.to_rows()
+    if ref_rank(rows) < n:
+        with pytest.raises(DimensionError):
+            inverse(a)
+    else:
+        assert inverse(a).to_rows() == ref_inverse(rows)
 
 
 def test_three_factor_folds_up_to_dimension_60_with_gaussian_eigenvalues():

@@ -186,6 +186,13 @@ def test_inverse_round_trip():
     assert mat_mul(a, inverse(a)) == DenseMatrix.identity(4, GQ)
     with pytest.raises(DimensionError):
         inverse(DenseMatrix(GQ, 2, 2, [0] * 4))
+    f = DenseMatrix(CF64, 5, 5, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                 for _ in range(25)])
+    assert matrices_close(mat_mul(f, inverse(f)), DenseMatrix.identity(5, CF64))
+    swap = DenseMatrix.from_rows([[0.0, 2.0], [4.0, 0.0]], CF64)
+    assert matrices_close(inverse(swap), DenseMatrix.from_rows([[0, 0.25], [0.5, 0]], CF64))
+    with pytest.raises(DimensionError):
+        inverse(DenseMatrix.from_rows([[1.0, 2.0], [2.0, 4.0]], CF64))
 
 
 def test_permutation_matrix_moves_basis_vectors():
@@ -201,6 +208,10 @@ def test_labels_are_carried_not_interpreted():
     b = DenseMatrix.from_rows([[1, 0], [0, 1]], GQ, row_labels=(0, 7), col_labels=(3, 9))
     assert mat_mul(a, b).row_labels == (-1, 5)
     assert mat_mul(a, b).col_labels == (3, 9)
+    for kind in (GQ, CF64):
+        inv = inverse(DenseMatrix.from_rows([[1, 2], [3, 4]], kind,
+                                            row_labels=(-1, 5), col_labels=(0, 7)))
+        assert (inv.row_labels, inv.col_labels) == ((0, 7), (-1, 5))
 
 
 def test_frobenius_and_entry_multiset():
