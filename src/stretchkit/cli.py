@@ -69,45 +69,51 @@ _EXTRA_FLAGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stretchkit",
-        description="Stretching maps, tensor convolution, class averaging and "
-                    "Jordan forms of stretched Kronecker products.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_OTHER_COMMANDS = {"jordan": "Jordan type of an n-fold stretched product",
+                   "tp-witness": "similarity witness for an injective map",
+                   "verify": "run a seeded verification suite"}
 
-    for name, (help_text, operands, extra, _) in _TENSOR_COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+
+def _add_flags(p: argparse.ArgumentParser, name: str) -> None:
+    """The flags of subcommand ``name`` on its parser ``p``."""
+    if name in _TENSOR_COMMANDS:
+        _, operands, extra, _ = _TENSOR_COMMANDS[name]
         for operand in operands:
             p.add_argument(f"--{operand}", required=True, help=_OPERAND_HELP[operand])
         p.add_argument("--map", required=True, dest="map_path", help="index map JSON path")
         if extra:
             p.add_argument(f"--{extra}", **_EXTRA_FLAGS[extra])
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--pretty", action="store_true",
-                       help="human-readable output instead of JSON")
+    elif name == "jordan":
+        p.add_argument("--spec", required=True, help="JSON array of Jordan specs")
+        p.add_argument("--verify", action="store_true",
+                       help="certify the closed form with the rank oracle")
+    elif name == "tp-witness":
+        p.add_argument("--map", required=True, dest="map_path",
+                       help="map JSON path (must embed its index_set)")
+    else:
+        p.add_argument("suite", help=f"one of: {', '.join(SUITE_NAMES)}")
+        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--seed", type=int, default=None,
+                       help="defaults to $STRETCHKIT_SEED, then 0")
+    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--pretty", action="store_true", help=(
+        "human-readable output instead of JSON" if name in _TENSOR_COMMANDS else None))
 
-    jordan_p = sub.add_parser("jordan", help="Jordan type of an n-fold stretched product")
-    jordan_p.add_argument("--spec", required=True, help="JSON array of Jordan specs")
-    jordan_p.add_argument("--verify", action="store_true",
-                          help="certify the closed form with the rank oracle")
-    jordan_p.add_argument("--out", help="output path (default: stdout)")
-    jordan_p.add_argument("--pretty", action="store_true")
 
-    witness_p = sub.add_parser("tp-witness",
-                               help="similarity witness for an injective map")
-    witness_p.add_argument("--map", required=True, dest="map_path",
-                           help="map JSON path (must embed its index_set)")
-    witness_p.add_argument("--out", help="output path (default: stdout)")
-    witness_p.add_argument("--pretty", action="store_true")
-
-    verify_p = sub.add_parser("verify", help="run a seeded verification suite")
-    verify_p.add_argument("suite", help=f"one of: {', '.join(SUITE_NAMES)}")
-    verify_p.add_argument("--trials", type=int, default=100)
-    verify_p.add_argument("--seed", type=int, default=None,
-                          help="defaults to $STRETCHKIT_SEED, then 0")
-    verify_p.add_argument("--out", help="output path (default: stdout)")
-    verify_p.add_argument("--pretty", action="store_true")
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Every subcommand gets its name and help, but
+    only those named in ``argv`` get their flags: argparse runs at most one."""
+    parser = argparse.ArgumentParser(
+        prog="stretchkit",
+        description="Stretching maps, tensor convolution, class averaging and "
+                    "Jordan forms of stretched Kronecker products.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = set(argv)
+    commands = {name: row[0] for name, row in _TENSOR_COMMANDS.items()}
+    for name, help_text in {**commands, **_OTHER_COMMANDS}.items():
+        p = sub.add_parser(name, help=help_text)
+        if name in named:
+            _add_flags(p, name)
     return parser
 
 
@@ -117,10 +123,17 @@ def _fmt_scalar(value, kind) -> str:
     return f"{value.real:.6g}{value.imag:+.6g}i" if value.imag else f"{value.real:.6g}"
 
 
-def _pretty_matrix(obj) -> str:
+def _cells(obj) -> list:
     kind = obj["scalar"]
-    cells = [[_fmt_scalar(sz.scalar_from_json(v, kind, "cell"), kind) for v in row]
-             for row in obj["data"]]
+    return [[_fmt_scalar(sz.scalar_from_json(v, kind, "cell"), kind) for v in row]
+            for row in obj["data"]]
+
+
+def _pretty_matrix(obj) -> str:
+    try:
+        cells = _cells(obj)
+    except ParseError:  # this command's own output, past the int/str digit limit
+        cells = sz.without_digit_limit(_cells, obj)
     col_labels = obj.get("col_labels", list(range(obj["cols"])))
     row_labels = obj.get("row_labels", list(range(obj["rows"])))
     widths = [max(len(str(col_labels[j])),
@@ -234,7 +247,8 @@ _HANDLERS = {"jordan": _cmd_jordan, "tp-witness": _cmd_tp_witness, "verify": _cm
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     # A command builds large acyclic JSON trees and tensors, which the cyclic
     # collector would only traverse again and again; refcounting frees them.
     collecting = gc.isenabled()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DomainError, ParseError, VariantError
@@ -34,7 +35,23 @@ _NUMBER = frozenset((int, float))
 
 
 def fraction_to_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # a part past Python's int/str digit limit
+        return without_digit_limit(fraction_to_str, f)
+
+
+def without_digit_limit(convert, value):
+    """``convert(value)`` with Python's int/str digit limit lifted for this one
+    call, so output stays exact however large the numbers grew.  Input from
+    outside is never parsed this way: the limit guards against the quadratic
+    time of parsing huge numbers."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def fraction_from_str(text, path: str) -> Fraction:
@@ -42,10 +59,14 @@ def fraction_from_str(text, path: str) -> Fraction:
     if match is None:
         raise ParseError(f"{path}: expected a fraction string like \"3/4\", got {text!r}")
     num, den = match.groups()
-    den = int(den or 1)
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # past Python's int/str digit limit
+        raise ParseError(f"{path}: a number has more than {sys.get_int_max_str_digits()} "
+                         "digits") from None
     if not den:
         raise ParseError(f"{path}: zero denominator in {text!r}")
-    return Fraction(int(num), den)
+    return Fraction(num, den)
 
 
 def scalar_to_json(value, kind: str) -> dict:

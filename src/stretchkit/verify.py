@@ -9,7 +9,6 @@ tolerance.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import DomainError
 from .indexing import IndexMap, IndexSet, Permutation
@@ -17,7 +16,7 @@ from .jordan import (JordanSpec, jordan_nfold, jordan_oracle, jordan_pair,
                      nfold_eigenvalues, nfold_product_matrix, spec_matrix)
 from .linalg import (DenseMatrix, entry_multiset, frobenius_norm_sq, kron,
                      mat_mul, mat_vec)
-from .scalars import GQ, GaussianRational, gq
+from .scalars import GQ, gq, stored
 from .stretching import (check_tp_witness, kappa, kernel_preservation_check,
                          permute_stretch, stretch, stretch_vector,
                          tp_similarity_witness, verify_averaging_decomposition)
@@ -28,18 +27,32 @@ SUITE_NAMES = ("homomorphism", "associativity", "adjoint", "kappa",
                "averaging", "permutation", "jordan", "tp-witness")
 
 
-def rand_fraction(rng: random.Random, span: int = 2) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.choice((1, 1, 1, 2)))
+# A part's denominator q is drawn from (1, 1, 1, 2); choosing from this tuple
+# takes the same index and gives 2 // q, which puts the part over 2.
+_TWICE_OVER = (2, 2, 2, 1)
 
 
-def rand_gq(rng: random.Random, span: int = 2) -> GaussianRational:
-    im = rand_fraction(rng, span) if rng.random() < 0.3 else Fraction(0)
-    return GaussianRational(rand_fraction(rng, span), im)
+def _rand_k(rng: random.Random, count: int) -> tuple:
+    """``count`` random Gaussian rationals in kernel form ``(2, re, im)``.
+
+    Each part is an integer in [-2, 2] over 1 (three times in four) or 2;
+    about 30 % of the entries are non-real.  Per entry the draws are
+    ``random()``, then ``randint`` and ``choice`` for the imaginary part when
+    there is one, then ``randint`` and ``choice`` for the real part.
+    """
+    unit, randint, choice = rng.random, rng.randint, rng.choice
+    re, im = [0] * count, [0] * count
+    for k in range(count):
+        if unit() < 0.3:
+            im[k] = randint(-2, 2) * choice(_TWICE_OVER)
+        re[k] = randint(-2, 2) * choice(_TWICE_OVER)
+    return 2, re, im
 
 
 def rand_matrix(rng: random.Random, n: int, m: int | None = None) -> DenseMatrix:
     m = n if m is None else m
-    return DenseMatrix(GQ, n, m, [rand_gq(rng) for _ in range(n * m)])
+    return stored(DenseMatrix, GQ, _rand_k(rng, n * m), n_rows=n, n_cols=m,
+                  row_labels=None, col_labels=None)
 
 
 def rand_rect_set(rng: random.Random, max_arity: int = 3, max_dim: int = 3) -> IndexSet:
@@ -60,12 +73,11 @@ def rand_map(rng: random.Random, domain: IndexSet) -> IndexMap:
 
 
 def rand_tensor(rng: random.Random, domain: IndexSet) -> Tensor:
-    n = len(domain)
-    return Tensor(domain, GQ, [rand_gq(rng) for _ in range(n * n)])
+    return stored(Tensor, GQ, _rand_k(rng, len(domain) ** 2), domain=domain)
 
 
 def rand_tensor_vector(rng: random.Random, domain: IndexSet) -> TensorVector:
-    return TensorVector(domain, GQ, [rand_gq(rng) for _ in range(len(domain))])
+    return stored(TensorVector, GQ, _rand_k(rng, len(domain)), domain=domain)
 
 
 def rand_injective_table(rng: random.Random, domain: IndexSet) -> IndexMap:
@@ -110,6 +122,15 @@ def suite_homomorphism(trials: int, seed: int):
             _check("vector-homomorphism", trials, vec_fail)]
 
 
+def _is_sum(out, p, k, positions) -> bool:
+    """Whether entry ``p`` of the kernel form ``out`` equals the sum of the
+    entries of ``k`` at ``positions``, cross-multiplying the denominators."""
+    out_den, out_re, out_im = out
+    den, re, im = k
+    return (out_re[p] * den == sum(re[q] for q in positions) * out_den and
+            out_im[p] * den == sum(im[q] for q in positions) * out_den)
+
+
 def suite_associativity(trials: int, seed: int):
     """Convolution is associative and interacts with Id by class sums."""
     rng = random.Random(seed)
@@ -126,16 +147,12 @@ def suite_associativity(trials: int, seed: int):
         n = len(domain)
         right = convolve(t1, ident, fmap)
         left = convolve(ident, t1, fmap)
-        ok = True
-        for i, pi in enumerate(domain.points):
-            for j, pj in enumerate(domain.points):
-                row_sum = sum((t1.data[i * n + domain.position(m)]
-                               for m in part.classes[part.class_of(pj)]), gq(0))
-                col_sum = sum((t1.data[domain.position(m) * n + j]
-                               for m in part.classes[part.class_of(pi)]), gq(0))
-                if right.at_pos(i, j) != row_sum or left.at_pos(i, j) != col_sum:
-                    ok = False
-        if not ok:
+        # Class sums straight from t1's stored ints, one loop per class.
+        members = [[domain.position(m) for m in cls] for cls in part.classes]
+        cls_of = [members[part.class_of(p)] for p in domain.points]
+        if not all(_is_sum(right._k, i * n + j, t1._k, [i * n + m for m in cls_of[j]]) and
+                   _is_sum(left._k, i * n + j, t1._k, [m * n + j for m in cls_of[i]])
+                   for i in range(n) for j in range(n)):
             id_fail += 1
     return [_check("associativity", trials, assoc_fail),
             _check("identity-formulas", trials, id_fail)]
@@ -202,11 +219,13 @@ def suite_averaging(trials: int, seed: int):
             avg = average(t, f, normalized=True)
             if average(avg, f, normalized=True) != avg:
                 idem_fail += 1
-            part = f.partition()
-            for ci, cls_i in enumerate(part.classes):
-                for cj, cls_j in enumerate(part.classes):
-                    vals = {avg.at(pi, pj) for pi in cls_i for pj in cls_j}
-                    if len(vals) != 1:
+            # One stored denominator: equal values have equal (re, im) pairs.
+            _, re, im = avg._k
+            n = len(dom)
+            cls = [[dom.position(p) for p in c] for c in f.partition().classes]
+            for rows in cls:
+                for cols in cls:
+                    if len({(re[r * n + c], im[r * n + c]) for r in rows for c in cols}) != 1:
                         block_fail += 1
     return [_check("decomposition-clauses", trials, decomposition_fail),
             _check("idempotence", trials, idem_fail),

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,8 @@ from stretchkit.linalg import DenseMatrix
 from stretchkit.scalars import GQ
 from stretchkit.tensors import pure_tensor
 from stretchkit.verify import SUITE_NAMES, run_suite
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, capsys):
@@ -386,3 +390,41 @@ def test_module_entry_point_runs_in_subprocess(fixtures_dir):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["value"] == {"re": "1/1", "im": "0/1"}
+
+
+def run_module(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)  # Python's default int/str digit limit, 4300
+    return subprocess.run([sys.executable, "-m", "stretchkit", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def diagonal_tensor(tmp_path, *values):
+    return write_json(tmp_path, "t.json", {
+        "index_set": {"kind": "rectangular", "dims": [len(values)]}, "scalar": "gq",
+        "entries": [{"row": [i], "col": [i], "value": {"re": v, "im": "0/1"}}
+                    for i, v in enumerate(values)]})
+
+
+def test_exact_input_past_digit_limit_exits_2(tmp_path):
+    tensor = diagonal_tensor(tmp_path, "7" * 5000 + "/1", "1/1")
+    fmap = write_json(tmp_path, "m.json", {"kind": "mixed-radix"})
+    result = run_module("kappa", "--tensor", tensor, "--map", fmap)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("parse error: tensor.entries[0].value.re: "
+                             "a number has more than 4300 digits\n")
+
+
+def test_exact_output_past_digit_limit_is_written_in_full(tmp_path):
+    # Each input number has 3,001 digits; the outputs have 6,001 and 4,301.
+    tensor = diagonal_tensor(tmp_path, "1" + "0" * 3000 + "/1", "1" + "0" * 3000 + "/3")
+    fmap = write_json(tmp_path, "m.json", {"kind": "mixed-radix"})
+    kappa = run_module("kappa", "--tensor", tensor, "--map", fmap)
+    assert (kappa.returncode, kappa.stderr) == (0, "")
+    assert json.loads(kappa.stdout)["value"] == {"re": "1" + "0" * 6000 + "/3", "im": "0/1"}
+
+    tensor = diagonal_tensor(tmp_path, "9" * 4300 + "/1", "9" * 4300 + "/1")
+    fold = write_json(tmp_path, "fold.json", {"kind": "linear", "k": [0]})
+    pretty = run_module("stretch", "--tensor", tensor, "--map", fold, "--pretty")
+    assert (pretty.returncode, pretty.stderr) == (0, "")
+    assert pretty.stdout.split() == ["0", "0", "|1" + "9" * 4299 + "8"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from stretchkit.linalg import DenseMatrix, det, inverse, kron, mat_mul
 from stretchkit.scalars import GQ, gq
 from stretchkit.stretching import stretch
 from stretchkit.tensors import pure_tensor
+from stretchkit.verify import rand_matrix
 
 
 def blocks_of(spec):
@@ -227,3 +229,38 @@ def test_product_distributes_over_blocks():
         for q, b in s2.blocks:
             expected_blocks.extend(jordan_pair(p, a, q, b).blocks)
     assert jordan_product(s1, s2) == JordanSpec(expected_blocks)
+
+
+def sympy_spec(sympy, m: DenseMatrix) -> JordanSpec:
+    """Jordan type of ``m`` from sympy's own Jordan form."""
+    def exact(v):
+        return sympy.Rational(v.numerator, v.denominator)
+    entries = [exact(v.re) + sympy.I * exact(v.im) for v in m.data]
+    j = sympy.Matrix(m.n_rows, m.n_cols, entries).jordan_form(calc_transform=False)
+    blocks, start = [], 0
+    for i in range(j.rows):
+        if i == j.rows - 1 or j[i, i + 1] == 0:
+            eig = j[i, i]
+            re, im = sympy.re(eig), sympy.im(eig)
+            blocks.append((i + 1 - start, gq(Fraction(int(re.p), int(re.q)),
+                                             Fraction(int(im.p), int(im.q)))))
+            start = i + 1
+    return JordanSpec(blocks)
+
+
+def test_oracle_agrees_with_sympy_on_conjugated_jordan_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    eigs = [gq(1), gq(-1), gq(0), gq(0, 1), gq(Fraction(1, 2), -1)]
+    for _ in range(6):  # sympy takes seconds per 3x3 case with a non-real eigenvalue
+        dim, blocks = rng.randint(2, 3), []
+        while sum(size for size, _ in blocks) < dim:
+            blocks.append((rng.randint(1, dim - sum(size for size, _ in blocks)),
+                           rng.choice(eigs)))
+        spec = JordanSpec(blocks)
+        p = rand_matrix(rng, dim)
+        while det(p) == 0:
+            p = rand_matrix(rng, dim)
+        m = mat_mul(mat_mul(p, spec_matrix(spec)), inverse(p))
+        oracle = jordan_oracle(m, eigs).spec()  # candidates beyond the spectrum
+        assert oracle == sympy_spec(sympy, m) == spec
