@@ -2,9 +2,9 @@
 
 Subcommands: stretch, stretch-vector, convolve, act, average, kappa, permute,
 jordan, tp-witness, verify.  Inputs and outputs are JSON; ``--pretty`` prints
-human-readable tables instead.  Exit codes: 0 success, 1 verification
-failure, 2 parse error, 3 domain mismatch, 4 permutation outside the index
-set, 5 scalar-variant error.
+matrices, Jordan types and suite reports as text.  Exit codes: 0 success,
+1 verification failure, 2 parse error, 3 domain mismatch, 4 permutation
+outside the index set, 5 scalar-variant error.
 """
 from __future__ import annotations
 
@@ -33,10 +33,11 @@ EXIT_VARIANT = 5
 
 
 def _default_seed() -> int:
+    text = os.environ.get("STRETCHKIT_SEED", "0")
     try:
-        return int(os.environ.get("STRETCHKIT_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise ParseError(f"STRETCHKIT_SEED must be an integer, got {text!r}") from None
 
 
 # Each tensor command: help, operand flags (loaded in order), an extra flag or
@@ -96,8 +97,9 @@ def _add_flags(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--seed", type=int, default=None,
                        help="defaults to $STRETCHKIT_SEED, then 0")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--pretty", action="store_true", help=(
-        "human-readable output instead of JSON" if name in _TENSOR_COMMANDS else None))
+    p.add_argument("--pretty", action="store_true",
+                   help="print a matrix as a table, a Jordan type as blocks and a "
+                        "suite report as lines; other output stays JSON")
 
 
 def _build_parser(argv) -> argparse.ArgumentParser:

@@ -170,22 +170,18 @@ class Permutation:
 
 
 class ClassPartition:
-    """Equivalence classes of an index map, ordered by ascending map value."""
+    """Equivalence classes of an index map, ordered by ascending map value.
 
-    __slots__ = ("values", "classes", "sizes", "class_of_position", "_class_by_point")
+    ``members[c]`` lists the domain positions of class c in canonical order.
+    """
 
-    def __init__(self, values, classes, class_of_position):
+    __slots__ = ("values", "members", "sizes", "class_of_position")
+
+    def __init__(self, values, members, class_of_position):
         self.values = tuple(values)
-        self.classes = tuple(tuple(c) for c in classes)
-        self.sizes = tuple(len(c) for c in self.classes)
+        self.members = tuple(tuple(c) for c in members)
+        self.sizes = tuple(len(c) for c in self.members)
         self.class_of_position = tuple(class_of_position)
-        self._class_by_point = {p: ci for ci, cls in enumerate(self.classes) for p in cls}
-
-    def class_of(self, point) -> int:
-        try:
-            return self._class_by_point[tuple(point)]
-        except KeyError:
-            raise DomainError(f"point {tuple(point)} is not in the partition") from None
 
     def __len__(self):
         return len(self.values)
@@ -213,114 +209,95 @@ def class_fold(values, grid, zero=0) -> list:
     return out
 
 
-LINEAR = "linear"
-MIXED_RADIX = "mixed-radix"
-MAX_COORD = "max"
-TABLE = "table"
-ENUMERATION = "enumeration"
-MAP_KINDS = (LINEAR, MIXED_RADIX, MAX_COORD, TABLE, ENUMERATION)
-
-
 class IndexMap:
-    """Integer-valued function on a finite index set, with its class structure."""
+    """Integer-valued function on a finite index set, held as its values in
+    the set's canonical order, with its class structure."""
 
-    __slots__ = ("kind", "domain", "k", "table", "_part")
+    __slots__ = ("domain", "_values", "_part")
 
-    def __init__(self, kind, domain, k=None, table=None):
-        if kind not in MAP_KINDS:
-            raise ParseError(f"unknown index map kind {kind!r}")
-        if kind == MIXED_RADIX and not domain.is_rectangular:
-            raise DomainError("mixed-radix map requires a rectangular index set")
-        if kind == LINEAR:
-            k = tuple(int(c) for c in k)
-            if len(k) != domain.arity:
-                raise DomainError(
-                    f"linear coefficient arity {len(k)} does not match index arity {domain.arity}")
-        if kind == TABLE:
-            table = {tuple(p): int(v) for p, v in table.items()}
-            for p in domain:
-                if p not in table:
-                    raise DomainError(f"table map is missing point {p}")
-            if len(table) > len(domain):
-                outside = next(p for p in table if p not in domain)
-                raise DomainError(f"table map point {outside} is not in the index set")
-        self.kind = kind
+    def __init__(self, domain, values):
+        values = tuple(values)
+        if len(values) != len(domain):
+            raise DomainError(
+                f"index map has {len(values)} values for {len(domain)} points")
         self.domain = domain
-        self.k = k
-        self.table = table
+        self._values = values
         self._part = None
 
     @classmethod
     def linear(cls, domain, k) -> "IndexMap":
-        return cls(LINEAR, domain, k=k)
+        k = tuple(int(c) for c in k)
+        if len(k) != domain.arity:
+            raise DomainError(
+                f"linear coefficient arity {len(k)} does not match index arity {domain.arity}")
+        return cls(domain, [dot(k, p) for p in domain])
 
     @classmethod
     def mixed_radix(cls, domain) -> "IndexMap":
-        return cls(MIXED_RADIX, domain)
+        if not domain.is_rectangular:
+            raise DomainError("mixed-radix map requires a rectangular index set")
+        return cls(domain, [mixed_radix_value(p, domain.dims) for p in domain])
 
     @classmethod
     def max_coord(cls, domain) -> "IndexMap":
-        return cls(MAX_COORD, domain)
+        return cls(domain, [max(p) for p in domain])
 
     @classmethod
     def from_table(cls, domain, mapping) -> "IndexMap":
-        return cls(TABLE, domain, table=dict(mapping))
+        table = {tuple(p): int(v) for p, v in dict(mapping).items()}
+        for p in domain:
+            if p not in table:
+                raise DomainError(f"table map is missing point {p}")
+        if len(table) > len(domain):
+            outside = next(p for p in table if p not in domain)
+            raise DomainError(f"table map point {outside} is not in the index set")
+        return cls(domain, [table[p] for p in domain])
 
     @classmethod
     def enumeration(cls, domain) -> "IndexMap":
-        return cls(ENUMERATION, domain)
+        return cls(domain, [enumerate_z(p) for p in domain])
 
     def value(self, point) -> int:
-        point = tuple(point)
-        self.domain.position(point)
-        if self.kind == LINEAR:
-            return dot(self.k, point)
-        if self.kind == MIXED_RADIX:
-            return mixed_radix_value(point, self.domain.dims)
-        if self.kind == MAX_COORD:
-            return max(point)
-        if self.kind == TABLE:
-            return self.table[point]
-        return enumerate_z(point)
+        return self._values[self.domain.position(point)]
 
     def values(self):
         """Map values over the domain in canonical order."""
-        return tuple(self.value(p) for p in self.domain)
+        return self._values
 
     def partition(self) -> ClassPartition:
         if self._part is None:
-            values = self.values()
             by_value = {}
-            for p, v in zip(self.domain, values):
-                by_value.setdefault(v, []).append(p)
+            for pos, v in enumerate(self._values):
+                by_value.setdefault(v, []).append(pos)
             distinct = sorted(by_value)
             cls_index = {v: i for i, v in enumerate(distinct)}
             self._part = ClassPartition(distinct, [by_value[v] for v in distinct],
-                                        [cls_index[v] for v in values])
+                                        [cls_index[v] for v in self._values])
         return self._part
 
     def is_injective(self) -> bool:
         return len(self.partition()) == len(self.domain)
 
     def compose(self, sigma: Permutation) -> "IndexMap":
-        """The table map p -> F(sigma(p)); requires sigma(A) inside A."""
-        if sigma.degree != self.domain.arity:
+        """The map p -> F(sigma(p)); requires sigma(A) inside A."""
+        domain = self.domain
+        if sigma.degree != domain.arity:
             raise PermutationDomainError(
-                f"permutation degree {sigma.degree} does not match index arity {self.domain.arity}")
-        table = {}
-        for p in self.domain:
+                f"permutation degree {sigma.degree} does not match index arity {domain.arity}")
+        values = []
+        for p in domain:
             image = sigma.apply(p)
-            if image not in self.domain:
+            if image not in domain:
                 raise PermutationDomainError(
                     f"permutation sends {p} to {image}, outside the index set")
-            table[p] = self.value(image)
-        return IndexMap.from_table(self.domain, table)
+            values.append(self._values[domain.position(image)])
+        return IndexMap(domain, values)
 
     def pointwise_equal(self, other: "IndexMap") -> bool:
         return self.domain == other.domain and self.values() == other.values()
 
     def __repr__(self):
-        return f"IndexMap({self.kind}, {self.domain!r})"
+        return f"IndexMap({self.domain!r})"
 
 
 # Fixed enumeration bijection Z^l -> Z: zigzag each coordinate into N,

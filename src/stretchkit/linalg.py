@@ -10,7 +10,6 @@ Row and column labels are carried verbatim and never interpreted here.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -414,22 +413,6 @@ def permutation_matrix(perm, kind=GQ) -> DenseMatrix:
     for i, p in enumerate(perm):
         data[p * n + i] = o
     return DenseMatrix(kind, n, n, data)
-
-
-def frobenius_norm_sq(a: DenseMatrix):
-    """Sum of squared entry magnitudes; a Fraction for 'gq', a float for 'cf64'."""
-    den, re, im = a._k
-    if a.kind == GQ:
-        return Fraction(sum(map(mul, re, re)) + sum(map(mul, im, im)), den * den)
-    return sum(abs(v) ** 2 for v in re)
-
-
-def entry_multiset(a: DenseMatrix):
-    """Sorted tuple of entries ('gq' only), for rearrangement checks."""
-    if a.kind != GQ:
-        raise VariantError("entry_multiset requires exact ('gq') entries")
-    den, re, im = a._k
-    return tuple(scaled(x, y, den) for x, y in sorted(zip(re, im)))
 
 
 def matrices_close(a: DenseMatrix, b: DenseMatrix, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:

@@ -186,14 +186,13 @@ def kernel_preservation_check(fmap: IndexMap, sigma: Permutation,
         return {"check": "kernel-preservation", "passed": True,
                 "details": {"trials": 0, "vacuous": True}}
     n = len(fmap.domain)
-    members = [[fmap.domain.position(p) for p in cls] for cls in part.classes]
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
         re = [0] * (n * n)
         for _ in range(rng.randint(1, 3)):
             ci, cj = pairs[rng.randrange(len(pairs))]
-            block = [i * n + j for i in members[ci] for j in members[cj]]
+            block = [i * n + j for i in part.members[ci] for j in part.members[cj]]
             p, q = rng.sample(block, 2)
             coeff = rng.randint(-3, 3) or 1
             re[p] += coeff

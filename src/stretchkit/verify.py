@@ -14,8 +14,7 @@ from .errors import DomainError
 from .indexing import IndexMap, IndexSet, Permutation
 from .jordan import (JordanSpec, jordan_nfold, jordan_oracle, jordan_pair,
                      nfold_eigenvalues, nfold_product_matrix, spec_matrix)
-from .linalg import (DenseMatrix, entry_multiset, frobenius_norm_sq, kron,
-                     mat_mul, mat_vec)
+from .linalg import DenseMatrix, kron, mat_mul, mat_vec
 from .scalars import GQ, gq, stored
 from .stretching import (check_tp_witness, kappa, kernel_preservation_check,
                          permute_stretch, stretch, stretch_vector,
@@ -147,9 +146,9 @@ def suite_associativity(trials: int, seed: int):
         n = len(domain)
         right = convolve(t1, ident, fmap)
         left = convolve(ident, t1, fmap)
-        # Class sums straight from t1's stored ints, one loop per class.
-        members = [[domain.position(m) for m in cls] for cls in part.classes]
-        cls_of = [members[part.class_of(p)] for p in domain.points]
+        # Class sums straight from t1's stored ints, one loop per class; the
+        # classes come from members, not from the fold's class_of_position.
+        cls_of = {m: cls for cls in part.members for m in cls}
         if not all(_is_sum(right._k, i * n + j, t1._k, [i * n + m for m in cls_of[j]]) and
                    _is_sum(left._k, i * n + j, t1._k, [m * n + j for m in cls_of[i]])
                    for i in range(n) for j in range(n)):
@@ -222,7 +221,7 @@ def suite_averaging(trials: int, seed: int):
             # One stored denominator: equal values have equal (re, im) pairs.
             _, re, im = avg._k
             n = len(dom)
-            cls = [[dom.position(p) for p in c] for c in f.partition().classes]
+            cls = f.partition().members
             for rows in cls:
                 for cols in cls:
                     if len({(re[r * n + c], im[r * n + c]) for r in rows for c in cols}) != 1:
@@ -250,8 +249,9 @@ def suite_permutation(trials: int, seed: int):
         tp = IndexMap.mixed_radix(domain)
         plain = stretch(t, tp)
         permuted = permute_stretch(t, tp, s1)
-        if frobenius_norm_sq(plain) != frobenius_norm_sq(permuted) or \
-                entry_multiset(plain) != entry_multiset(permuted):
+        # Canonical forms: equal entry multisets have equal denominators.
+        (den, re, im), (p_den, p_re, p_im) = plain._k, permuted._k
+        if den != p_den or sorted(zip(re, im)) != sorted(zip(p_re, p_im)):
             iso_fail += 1
         sq_domain = IndexSet.rectangular((2, 2))
         sq_map = (IndexMap.linear(sq_domain, (1, 1)) if i % 2 == 0

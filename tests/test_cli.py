@@ -272,6 +272,19 @@ def test_verify_seed_from_environment(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 42
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_malformed_seed_in_environment_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("STRETCHKIT_SEED", value)
+    code, out, err = run_cli(["verify", "kappa", "--trials", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: STRETCHKIT_SEED must be an integer, got {value!r}\n"
+    code, out, _ = run_cli(["verify", "kappa", "--trials", "1", "--seed", "3"], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 3  # --seed wins; the variable is unread
+    monkeypatch.delenv("STRETCHKIT_SEED")
+    code, out, _ = run_cli(["verify", "kappa", "--trials", "1"], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+
 def test_parse_error_exits_2(tmp_path, fixtures_dir, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{")
@@ -371,6 +384,17 @@ def test_usage_line_keeps_each_commands_flags_in_order(command, capsys, monkeypa
     assert exc.value.code == 0
     prog = " ".join(["stretchkit"] + argv)
     assert capsys.readouterr().out.splitlines()[0] == f"usage: {prog} {USAGE[command]}"
+
+
+@pytest.mark.parametrize("command", [c for c in USAGE if c])
+def test_pretty_help_is_the_same_on_every_command(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    line = next(x for x in capsys.readouterr().out.splitlines() if "--pretty " in x)
+    assert line.split(None, 1)[1] == ("print a matrix as a table, a Jordan type as "
+                                      "blocks and a suite report as lines; other "
+                                      "output stays JSON")
 
 
 def test_pretty_output_renders_table(fixtures_dir, capsys):

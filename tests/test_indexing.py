@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stretchkit.errors import DomainError, ParseError, PermutationDomainError
@@ -68,10 +68,10 @@ def test_partition_groups_equal_values():
     s = IndexSet.rectangular((2, 2))
     part = IndexMap.linear(s, (1, 1)).partition()
     assert part.values == (0, 1, 2)
-    assert part.classes == (((0, 0),), ((1, 0), (0, 1)), ((1, 1),))
+    assert part.members == ((0,), (1, 2), (3,))  # (0, 0); (1, 0), (0, 1); (1, 1)
     part2 = IndexMap.linear(s, (1, -1)).partition()
     assert part2.values == (-1, 0, 1)
-    assert ((0, 0), (1, 1)) == part2.classes[1]
+    assert part2.members[1] == (0, 3)  # (0, 0), (1, 1)
 
 
 def test_injective_partitions_are_singletons():
@@ -116,7 +116,8 @@ def test_compose_map_with_identity_is_pointwise_equal():
 def test_compose_mixed_radix_with_swap_gives_documented_table():
     s = IndexSet.rectangular((2, 2))
     f = IndexMap.mixed_radix(s).compose(Permutation((2, 1)))
-    assert f.table == {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
+    # Canonical order (0, 0), (1, 0), (0, 1), (1, 1); F(p) = p2 + 2*p1.
+    assert f.values() == (0, 2, 1, 3)
 
 
 def test_max_coord_is_symmetric_under_any_permutation():
@@ -176,3 +177,78 @@ def test_enumeration_round_trip_dense_window():
     values = {v for _, v in seen}
     points = {p for p, _ in seen}
     assert len(values) == len(points)
+
+
+@st.composite
+def index_sets(draw):
+    """A small rectangular or explicit index set."""
+    arity = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return IndexSet.rectangular(draw(st.lists(st.integers(1, 3), min_size=arity,
+                                                  max_size=arity)))
+    coords = st.tuples(*[st.integers(-3, 3)] * arity)
+    return IndexSet.explicit(draw(st.lists(coords, min_size=1, max_size=12, unique=True)))
+
+
+@st.composite
+def table_maps(draw):
+    s = draw(index_sets())
+    values = draw(st.lists(st.integers(-3, 3), min_size=len(s), max_size=len(s)))
+    return IndexMap.from_table(s, dict(zip(s.points, values)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(index_sets(), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_constructor_values_follow_their_formulas(s, k):
+    k = k[:s.arity]
+    assert IndexMap.linear(s, k).values() == \
+        tuple(sum(c * x for c, x in zip(k, p)) for p in s.points)
+    assert IndexMap.max_coord(s).values() == tuple(max(p) for p in s.points)
+    assert tuple(enumerate_z_inverse(v, s.arity)
+                 for v in IndexMap.enumeration(s).values()) == s.points
+    table = {p: i * i - 3 for i, p in enumerate(reversed(s.points))}
+    f = IndexMap.from_table(s, table)
+    assert f.values() == tuple(table[p] for p in s.points)
+    assert all(f.value(p) == table[p] for p in s.points)
+    if s.is_rectangular:  # canonical order is the mixed-radix order
+        assert IndexMap.mixed_radix(s).values() == tuple(range(len(s)))
+    else:
+        with pytest.raises(DomainError):
+            IndexMap.mixed_radix(s)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(table_maps(), st.permutations((1, 2, 3)))
+def test_compose_is_pointwise_and_rejects_points_leaving_the_set(f, slots):
+    s = f.domain
+    sigma = Permutation([t for t in slots if t <= s.arity])
+    images = [sigma.apply(p) for p in s.points]
+    if all(q in s for q in images):
+        assert f.compose(sigma).values() == tuple(f.value(q) for q in images)
+    else:
+        with pytest.raises(PermutationDomainError):
+            f.compose(sigma)
+    with pytest.raises(PermutationDomainError):
+        f.compose(Permutation.identity(s.arity + 1))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(table_maps())
+def test_partition_members_cover_each_position_once_in_order(f):
+    part = f.partition()
+    values = f.values()
+    assert sorted(m for c in part.members for m in c) == list(range(len(f.domain)))
+    assert all(list(c) == sorted(c) for c in part.members)
+    assert all(a < b for a, b in zip(part.values, part.values[1:]))
+    assert part.sizes == tuple(len(c) for c in part.members)
+    for ci, members in enumerate(part.members):
+        assert {values[m] for m in members} == {part.values[ci]}
+        assert all(part.class_of_position[m] == ci for m in members)
+    assert len(part) == len(set(values))
+
+
+def test_index_map_holds_one_value_per_point():
+    s = IndexSet.rectangular((2, 2))
+    assert IndexMap(s, [5, 1, 5, 0]).partition().members == ((3,), (1,), (0, 2))
+    with pytest.raises(DomainError, match="index map has 3 values for 4 points"):
+        IndexMap(s, [0, 1, 2])

@@ -5,10 +5,9 @@ import pytest
 
 from stretchkit.errors import DimensionError, VariantError
 from stretchkit.jordan import jordan_block
-from stretchkit.linalg import (DenseMatrix, DenseVector, det, entry_multiset,
-                               frobenius_norm_sq, inverse, kron, mat_mul,
-                               mat_vec, matrices_close, nullity_sequence,
-                               permutation_matrix, rank)
+from stretchkit.linalg import (DenseMatrix, DenseVector, det, inverse, kron,
+                               mat_mul, mat_vec, matrices_close,
+                               nullity_sequence, permutation_matrix, rank)
 from stretchkit.scalars import CF64, GQ, gq
 
 
@@ -213,9 +212,3 @@ def test_labels_are_carried_not_interpreted():
                                             row_labels=(-1, 5), col_labels=(0, 7)))
         assert (inv.row_labels, inv.col_labels) == ((0, 7), (-1, 5))
 
-
-def test_frobenius_and_entry_multiset():
-    a = DenseMatrix.from_rows([[gq(0, 1), gq(2)], [gq(-2), gq(0)]], GQ)
-    assert frobenius_norm_sq(a) == Fraction(9)
-    b = DenseMatrix.from_rows([[gq(2), gq(0)], [gq(0, 1), gq(-2)]], GQ)
-    assert entry_multiset(a) == entry_multiset(b)

@@ -1,12 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from stretchkit.errors import DomainError, PermutationDomainError
 from stretchkit.indexing import IndexMap, IndexSet, Permutation
 from stretchkit.jordan import jordan_block
-from stretchkit.linalg import (DenseMatrix, det, entry_multiset,
-                               frobenius_norm_sq, mat_mul, mat_vec,
+from stretchkit.linalg import (DenseMatrix, det, mat_mul, mat_vec,
                                permutation_matrix)
 from stretchkit.scalars import GQ, gq
 from stretchkit.stretching import (SimilarityWitness, check_tp_witness, kappa,
@@ -260,8 +260,7 @@ def test_permutation_isometry_in_reshape_setting():
     base = stretch(t, tp)
     for one_line in [(2, 1, 3), (3, 2, 1), (2, 3, 1)]:
         moved = permute_stretch(t, tp, Permutation(one_line))
-        assert frobenius_norm_sq(moved) == frobenius_norm_sq(base)
-        assert entry_multiset(moved) == entry_multiset(base)
+        assert Counter(moved.data) == Counter(base.data)
 
 
 def test_tp_witness_mixed_radix_is_identity():

@@ -66,10 +66,10 @@ def test_block_constant_catches_a_wrong_average(monkeypatch):
     def wrong(t, fmap, normalized=True):
         out = average(t, fmap, normalized)
         part = fmap.partition()
-        shared = [c for c in part.classes if len(c) > 1]
+        shared = [c for c in part.members if len(c) > 1]
         if not shared:
             return out
-        p = t.domain.position(shared[0][0])
+        p = shared[0][0]
         return perturbed(out, p * len(t.domain) + p)
 
     monkeypatch.setattr(verify, "average", wrong)
@@ -91,3 +91,20 @@ def test_kernel_preservation_catches_a_wrong_sign(monkeypatch):
     report = verify.run_suite("permutation", 2, 4)
     assert not check(report, "kernel-preservation")["passed"]
     assert check(report, "permutation-isometry")["passed"]
+
+
+def test_permutation_isometry_catches_a_changed_entry(monkeypatch):
+    assert check(verify.run_suite("permutation", 3, 5), "permutation-isometry")["passed"]
+    permute_stretch = verify.permute_stretch
+
+    def wrong(t, fmap, sigma):
+        out = permute_stretch(t, fmap, sigma)
+        den, re, im = out._k
+        return stored(DenseMatrix, out.kind, (den, [re[0] + den] + list(re[1:]), im),
+                      n_rows=out.n_rows, n_cols=out.n_cols,
+                      row_labels=out.row_labels, col_labels=out.col_labels)
+
+    monkeypatch.setattr(verify, "permute_stretch", wrong)
+    report = verify.run_suite("permutation", 3, 5)
+    assert check(report, "permutation-isometry")["details"]["failures"] == 3
+    assert check(report, "permutation-composition")["passed"]
