@@ -13,21 +13,11 @@ oracle certifies this choice on every run.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 
 from .errors import DimensionError, DomainError, VariantError
-from .linalg import DenseMatrix, kron, power_nullities
-from .scalars import GQ, GaussianRational, gq, one, trusted, zero
-
-
-def _exact_eig(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    raise VariantError(
-        "Jordan eigenvalues must be exact; float/complex matching is unsound")
+from .linalg import DenseMatrix, kron, power_nullities, square_matrix
+from .scalars import GQ, GaussianRational, coerce, gq, trusted
 
 
 def _eig_key(e: GaussianRational):
@@ -51,7 +41,7 @@ class JordanSpec:
             size = int(size)
             if size < 1:
                 raise DimensionError("Jordan block sizes must be positive")
-            sizes = tally.setdefault(_exact_eig(eig), {})
+            sizes = tally.setdefault(coerce(eig, GQ), {})
             sizes[size] = sizes.get(size, 0) + 1
         if not tally:
             raise DimensionError("a Jordan spec needs at least one block")
@@ -97,11 +87,7 @@ def jordan_block(size: int, eig) -> DenseMatrix:
     """Upper bidiagonal exact cell: eigenvalue on the diagonal, ones above it."""
     if size < 1:
         raise DimensionError("Jordan block sizes must be positive")
-    eig = _exact_eig(eig)
-    z, o = zero(GQ), one(GQ)
-    data = [eig if j == i else o if j == i + 1 else z
-            for i in range(size) for j in range(size)]
-    return DenseMatrix(GQ, size, size, data)
+    return spec_matrix(trusted(JordanSpec, counts=_canonical({coerce(eig, GQ): {size: 1}})))
 
 
 def _cells(spec: JordanSpec):
@@ -114,22 +100,19 @@ def _cells(spec: JordanSpec):
 
 def spec_matrix(spec: JordanSpec) -> DenseMatrix:
     """Exact direct sum of the spec's blocks, in canonical order."""
-    n = spec.dimension
-    data = [zero(GQ)] * (n * n)
+    n, entries = spec.dimension, []
     for start, size, eig in _cells(spec):
-        cell = jordan_block(size, eig).data
-        for i in range(size):
-            row = (start + i) * n + start
-            data[row:row + size] = cell[i * size:(i + 1) * size]
-    return DenseMatrix(GQ, n, n, data)
+        diagonal = range(start * (n + 1), (start + size) * (n + 1), n + 1)
+        entries += [(p, eig) for p in diagonal] + [(p + 1, gq(1)) for p in diagonal[:-1]]
+    return square_matrix(GQ, n, entries)
 
 
 def jordan_pair(p: int, a, q: int, b) -> JordanSpec:
     """Jordan type of the stretched product of the cells J_p(a) and J_q(b)."""
     if p < 1 or q < 1:
         raise DimensionError("Jordan cell sizes must be positive")
-    a = _exact_eig(a)
-    b = _exact_eig(b)
+    a = coerce(a, GQ)
+    b = coerce(b, GQ)
     lo = min(p, q)
     if a and b:
         eig, sizes = a * b, {p + q - 2 * k + 1: 1 for k in range(1, lo + 1)}
@@ -173,22 +156,21 @@ def explicit_pair_matrix(c: JordanSpec, d: JordanSpec) -> DenseMatrix:
     """
     m_dim = c.dimension
     dim = m_dim * d.dimension
-    data = [zero(GQ)] * (dim * dim)
+    entries = {}
     for u, p, a in _cells(c):
         for v, q, b in _cells(d):
             for i in range(u, u + p):
                 for j in range(v, v + q):
                     # Row i + M*j meets its four units at distinct columns.
                     at = (i + m_dim * j) * (dim + 1)
-                    data[at] = a * b
+                    entries[at] = a * b
                     if i + 1 < u + p:
-                        data[at + 1] = b
+                        entries[at + 1] = b
                     if j + 1 < v + q:
-                        data[at + m_dim] = a
+                        entries[at + m_dim] = a
                         if i + 1 < u + p:
-                            data[at + m_dim + 1] = one(GQ)
-    labels = tuple(range(dim))
-    return DenseMatrix(GQ, dim, dim, data, row_labels=labels, col_labels=labels)
+                            entries[at + m_dim + 1] = gq(1)
+    return square_matrix(GQ, dim, entries.items(), tuple(range(dim)))
 
 
 class JordanOracleResult:
@@ -205,7 +187,7 @@ class JordanOracleResult:
         return JordanSpec((size, eig) for eig, _, sizes in self.eigen_data for size in sizes)
 
     def weyr(self, eig):
-        eig = _exact_eig(eig)
+        eig = coerce(eig, GQ)
         for e, w, _ in self.eigen_data:
             if e == eig:
                 return w
@@ -228,7 +210,7 @@ def jordan_oracle(m: DenseMatrix, eigenvalues) -> JordanOracleResult:
     if not m.is_square:
         raise DimensionError("the Jordan oracle requires a square matrix")
     n = m.n_rows
-    eigs = sorted({_exact_eig(e) for e in eigenvalues}, key=_eig_key)
+    eigs = sorted({coerce(e, GQ) for e in eigenvalues}, key=_eig_key)
     eigen_data = []
     covered = 0
     for eig in eigs:

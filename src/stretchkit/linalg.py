@@ -11,11 +11,10 @@ Row and column labels are carried verbatim and never interpreted here.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import DimensionError, VariantError
-from .scalars import (ABS_TOL, GQ, REL_TOL, Entries, coerce, data_close, one, scaled, stored,
-                      take, zero)
+from .scalars import GQ, Entries, coerce, data_close, scaled, stored, take, trusted
 
 
 def _labels(labels, n, what):
@@ -31,15 +30,17 @@ class DenseMatrix(Entries):
     """Immutable row-major matrix whose entries all share one scalar kind."""
 
     __slots__ = ("n_rows", "n_cols", "row_labels", "col_labels")
+    _shape = attrgetter("n_rows", "n_cols")
 
     def __init__(self, kind, n_rows, n_cols, data, row_labels=None, col_labels=None):
         if n_rows < 1 or n_cols < 1:
             raise DimensionError("matrix dimensions must be positive")
-        self._store(kind, [coerce(v, kind) for v in data])
-        if len(self._k[1]) != n_rows * n_cols:
+        data = [coerce(v, kind) for v in data]
+        if len(data) != n_rows * n_cols:
             raise DimensionError(
-                f"matrix data has {len(self._k[1])} entries, expected {n_rows}x{n_cols}"
+                f"matrix data has {len(data)} entries, expected {n_rows}x{n_cols}"
             )
+        self._fill(kind, len(data), enumerate(data))
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.row_labels = _labels(row_labels, n_rows, "row_labels")
@@ -59,16 +60,14 @@ class DenseMatrix(Entries):
 
     @classmethod
     def identity(cls, n, kind):
-        z, o = zero(kind), one(kind)
-        data = [o if i == j else z for i in range(n) for j in range(n)]
-        return cls(kind, n, n, data)
+        return permutation_matrix(range(n), kind)
 
     @property
     def is_square(self):
         return self.n_rows == self.n_cols
 
     def at(self, i, j):
-        return self._entry(i * self.n_cols + j)
+        return self._cell(i, j, self.n_rows, self.n_cols)
 
     def to_rows(self):
         n, data = self.n_cols, self.data
@@ -80,35 +79,34 @@ class DenseMatrix(Entries):
         return stored(DenseMatrix, self.kind, take(self._k, order), n_rows=m, n_cols=n,
                       row_labels=self.col_labels, col_labels=self.row_labels)
 
-    def __eq__(self, other):
-        # Labels are metadata; equality is about values.
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return (self.kind == other.kind and self.n_rows == other.n_rows
-                and self.n_cols == other.n_cols and self._k == other._k)
-
     def __repr__(self):
         return f"DenseMatrix({self.kind}, {self.n_rows}x{self.n_cols})"
+
+
+def square_matrix(kind, n, pairs, labels=None) -> DenseMatrix:
+    """n x n matrix of ``kind`` holding the scalar of each ``(position,
+    scalar)`` pair, already of ``kind``, and zero elsewhere."""
+    if n < 1:
+        raise DimensionError("matrix dimensions must be positive")
+    return trusted(DenseMatrix, n_rows=n, n_cols=n, row_labels=labels,
+                   col_labels=labels)._fill(kind, n * n, pairs)
 
 
 class DenseVector(Entries):
     """Immutable vector sharing the matrix conventions."""
 
     __slots__ = ("n", "labels")
+    _shape = attrgetter("n")
 
     def __init__(self, kind, n, data, labels=None):
         if n < 1:
             raise DimensionError("vector length must be positive")
-        self._store(kind, [coerce(v, kind) for v in data])
-        if len(self._k[1]) != n:
-            raise DimensionError(f"vector data has {len(self._k[1])} entries, expected {n}")
+        data = [coerce(v, kind) for v in data]
+        if len(data) != n:
+            raise DimensionError(f"vector data has {len(data)} entries, expected {n}")
+        self._fill(kind, n, enumerate(data))
         self.n = n
         self.labels = _labels(labels, n, "labels")
-
-    def __eq__(self, other):
-        if not isinstance(other, DenseVector):
-            return NotImplemented
-        return self.kind == other.kind and self.n == other.n and self._k == other._k
 
     def __repr__(self):
         return f"DenseVector({self.kind}, n={self.n})"
@@ -408,12 +406,8 @@ def permutation_matrix(perm, kind=GQ) -> DenseMatrix:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise DimensionError("perm must be a permutation of 0..n-1")
-    z, o = zero(kind), one(kind)
-    data = [z] * (n * n)
-    for i, p in enumerate(perm):
-        data[p * n + i] = o
-    return DenseMatrix(kind, n, n, data)
+    one = coerce(1, kind)
+    return square_matrix(kind, n, [(p * n + i, one) for i, p in enumerate(perm)])
 
 
-def matrices_close(a: DenseMatrix, b: DenseMatrix, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
-    return (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols) and data_close(a, b, rel_tol, abs_tol)
+matrices_close = data_close

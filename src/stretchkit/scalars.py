@@ -167,19 +167,9 @@ def coerce(value, kind: str):
     raise VariantError(f"unknown scalar kind {kind!r}")
 
 
-def to_scaled(data):
-    """Canonical form ``(den, re, im)`` of exact scalars: ``data[k] ==
-    (re[k] + i*im[k]) / den`` with int tuples and ``den`` the lcm of the
-    entries' denominators (zeros have denominator 1).  Lowest-terms
-    components make ``gcd(den, *re, *im) == 1``."""
-    den = lcm(*{v.re.denominator for v in data}, *{v.im.denominator for v in data})
-    return (den, tuple([v.re.numerator * (den // v.re.denominator) for v in data]),
-            tuple([v.im.numerator * (den // v.im.denominator) for v in data]))
-
-
 def from_scaled(den, re, im) -> tuple:
-    """Inverse of :func:`to_scaled`: the tuple of ``(re[k] + i*im[k]) / den``,
-    with one shared scalar per distinct value."""
+    """The tuple of ``(re[k] + i*im[k]) / den``, with one shared scalar per
+    distinct value."""
     memo = {}
     get = memo.get
     out = []
@@ -234,18 +224,35 @@ class Entries:
     ``im`` and ``gcd(den, *re, *im) == 1``, so equal values have equal
     triples; entry k is ``(re[k] + i*im[k]) / den``.  Float entries are
     ``(1, values, None)`` with a tuple of ``complex``.  Neither is mutated
-    after construction.
+    after construction.  A subclass's ``_shape`` getter reads what ``==``
+    compares besides ``kind`` and ``_k``.
     """
 
     __slots__ = ("kind", "_k", "_data")
 
-    def _store(self, kind, values):
-        """Keep scalars already of ``kind``: converted to the stored form once,
-        and kept as the :attr:`data` view."""
-        values = tuple(values)
-        self.kind = kind
-        self._k = to_scaled(values) if kind == GQ else (1, values, None)
-        self._data = values
+    def _fill(self, kind, count, pairs):
+        """Store ``count`` entries of ``kind``: the scalar of each ``(position,
+        scalar)`` pair, already of ``kind``, and zero elsewhere; returns ``self``.
+        Exact entries go over the lcm of the given denominators, which is the
+        canonical form since each scalar is in lowest terms."""
+        if kind == GQ:
+            pairs = list(pairs)
+            den = lcm(*{v.re.denominator for _, v in pairs},
+                      *{v.im.denominator for _, v in pairs})
+            re, im = [0] * count, [0] * count
+            for p, v in pairs:
+                re[p] = v.re.numerator * (den // v.re.denominator)
+                im[p] = v.im.numerator * (den // v.im.denominator)
+            self.kind, self._k, self._data = kind, (den, tuple(re), tuple(im)), None
+            return self
+        if kind != CF64:
+            raise VariantError(f"unknown scalar kind {kind!r}")
+        values = [0j] * count
+        for p, v in pairs:
+            values[p] = v
+        self.kind, self._data = kind, tuple(values)
+        self._k = 1, self._data, None
+        return self
 
     @property
     def data(self) -> tuple:
@@ -255,12 +262,21 @@ class Entries:
             self._data = from_scaled(*self._k)
         return self._data
 
-    def _entry(self, k):
-        """Entry ``k`` as a scalar, without building :attr:`data`."""
-        if self._data is not None:
-            return self._data[k]
-        den, re, im = self._k
-        return scaled(re[k], im[k], den)
+    def _cell(self, i, j, n_rows, n_cols):
+        """Entry (i, j) of the row-major ``n_rows`` x ``n_cols`` layout."""
+        if not (0 <= i < n_rows and 0 <= j < n_cols):
+            raise IndexError(f"entry ({i}, {j}) is outside {n_rows}x{n_cols}")
+        return self.data[i * n_cols + j]
+
+    def _like(self, other) -> bool:
+        """Same type, kind and shape; labels are not compared."""
+        return (type(other) is type(self) and self.kind == other.kind
+                and self._shape(self) == other._shape(other))
+
+    def __eq__(self, other):
+        if not isinstance(other, Entries):
+            return NotImplemented
+        return self._like(other) and self._k == other._k
 
 
 def stored(cls, kind, k, **slots):
@@ -270,34 +286,14 @@ def stored(cls, kind, k, **slots):
     return trusted(cls, kind=kind, _k=k, _data=k[1] if k[2] is None else None, **slots)
 
 
-def zero(kind: str):
-    """Zero of ``kind``; an unknown kind raises :class:`VariantError`."""
-    if kind == GQ:
-        return _ZERO
-    if kind == CF64:
-        return 0j
-    raise VariantError(f"unknown scalar kind {kind!r}")
-
-
-def one(kind: str):
-    """One of ``kind``; an unknown kind raises :class:`VariantError`."""
-    if kind == GQ:
-        return GaussianRational._raw(Fraction(1), _F0)
-    if kind == CF64:
-        return complex(1.0)
-    raise VariantError(f"unknown scalar kind {kind!r}")
-
-
 def close(x: complex, y: complex, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> bool:
     """Float comparison with relative tolerance and an absolute floor."""
     return abs(x - y) <= max(abs_tol, rel_tol * max(abs(x), abs(y)))
 
 
 def data_close(a, b, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> bool:
-    """Whether two matrices, vectors or tensors of the same shape hold the same
-    ``kind`` and entries: equal if exact, :func:`close` ones if float."""
-    if a.kind != b.kind:
-        return False
+    """Whether two matrices, vectors or tensors have the same type, shape, kind
+    and entries: equal if exact, :func:`close` ones if float."""
     if a.kind == GQ:
-        return a._k == b._k
-    return all(close(x, y, rel_tol, abs_tol) for x, y in zip(a._k[1], b._k[1]))
+        return a == b
+    return a._like(b) and all(close(x, y, rel_tol, abs_tol) for x, y in zip(a._k[1], b._k[1]))

@@ -117,8 +117,7 @@ def matrix_to_json(m: DenseMatrix) -> dict:
         "rows": m.n_rows,
         "cols": m.n_cols,
         "scalar": m.kind,
-        "data": [[scalar_to_json(m.at(i, j), m.kind) for j in range(m.n_cols)]
-                 for i in range(m.n_rows)],
+        "data": [[scalar_to_json(v, m.kind) for v in row] for row in m.to_rows()],
     }
     if m.row_labels is not None:
         out["row_labels"] = list(m.row_labels)

@@ -177,7 +177,11 @@ def kernel_preservation_check(fmap: IndexMap, sigma: Permutation,
     Samples random tensors built from within-class difference units (these
     span the kernel), then checks they still stretch to zero through the
     permuted map.  Injective maps have trivial kernel and pass vacuously.
+    ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise DomainError(f"kernel_preservation_check needs a trial count of at least 1, "
+                          f"got {trials}")
     composed = fmap.compose(sigma)  # validates sigma(A) inside A
     part = fmap.partition()
     pairs = [(ci, cj) for ci in range(len(part)) for cj in range(len(part))
@@ -203,5 +207,5 @@ def kernel_preservation_check(fmap: IndexMap, sigma: Permutation,
         if not (_is_zero(stretch(t, fmap)) and _is_zero(stretch(t, composed))):
             failures += 1
     return {"check": "kernel-preservation", "passed": failures == 0,
-            "details": {"trials": max(trials, 0), "failures": failures,
+            "details": {"trials": trials, "failures": failures,
                         "vacuous": False}}

@@ -9,55 +9,47 @@ matrix product.
 from __future__ import annotations
 
 from math import lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import DimensionError, DomainError, VariantError
 from .indexing import IndexMap, IndexSet, class_fold, class_grid
 from .linalg import kron_k, product, require_same_kind
-from .scalars import (ABS_TOL, GQ, REL_TOL, Entries, coerce, data_close, stored, take,
-                      zero)
+from .scalars import GQ, Entries, coerce, data_close, stored, take, trusted
 
 
 class Tensor(Entries):
     """Element of Mat(A): dense entries T[i, j] for points i, j of A."""
 
     __slots__ = ("domain",)
+    _shape = attrgetter("domain")
 
     def __init__(self, domain: IndexSet, kind, data):
-        self._store(kind, [coerce(v, kind) for v in data])
+        data = [coerce(v, kind) for v in data]
         n = len(domain)
-        if len(self._k[1]) != n * n:
-            raise DimensionError(f"tensor needs {n * n} entries, got {len(self._k[1])}")
+        if len(data) != n * n:
+            raise DimensionError(f"tensor needs {n * n} entries, got {len(data)}")
+        self._fill(kind, n * n, enumerate(data))
         self.domain = domain
 
     @classmethod
     def from_entries(cls, domain, kind, entries) -> "Tensor":
         """Build from {(row_point, col_point): value}; missing entries are zero."""
-        n = len(domain)
-        data = [zero(kind)] * (n * n)
-        for (pi, pj), v in dict(entries).items():
-            data[domain.position(pi) * n + domain.position(pj)] = coerce(v, kind)
-        obj = object.__new__(cls)
-        obj._store(kind, data)
-        obj.domain = domain
-        return obj
+        n, position = len(domain), domain.position
+        # Coerce, then place: a wrong kind is reported before an outside point.
+        pairs = [(position(pi) * n + position(pj), v)
+                 for (pi, pj), v in dict(entries).items() for v in (coerce(v, kind),)]
+        return trusted(cls, domain=domain)._fill(kind, n * n, pairs)
 
     @property
     def size(self) -> int:
         return len(self.domain)
 
     def at(self, pi, pj):
-        n = len(self.domain)
-        return self._entry(self.domain.position(pi) * n + self.domain.position(pj))
+        position = self.domain.position
+        return self.data[position(pi) * len(self.domain) + position(pj)]
 
     def at_pos(self, i: int, j: int):
-        return self._entry(i * len(self.domain) + j)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return (self.kind == other.kind and self.domain == other.domain
-                and self._k == other._k)
+        return self._cell(i, j, len(self.domain), len(self.domain))
 
     def __repr__(self):
         return f"Tensor({self.kind}, |A|={len(self.domain)})"
@@ -67,31 +59,23 @@ class TensorVector(Entries):
     """Element of C^A: one entry per point of A, in canonical order."""
 
     __slots__ = ("domain",)
+    _shape = attrgetter("domain")
 
     def __init__(self, domain: IndexSet, kind, data):
-        self._store(kind, [coerce(v, kind) for v in data])
-        if len(self._k[1]) != len(domain):
-            raise DimensionError(f"vector needs {len(domain)} entries, got {len(self._k[1])}")
+        data = [coerce(v, kind) for v in data]
+        if len(data) != len(domain):
+            raise DimensionError(f"vector needs {len(domain)} entries, got {len(data)}")
+        self._fill(kind, len(data), enumerate(data))
         self.domain = domain
 
     @classmethod
     def from_entries(cls, domain, kind, entries) -> "TensorVector":
-        data = [zero(kind)] * len(domain)
-        for p, v in dict(entries).items():
-            data[domain.position(p)] = coerce(v, kind)
-        obj = object.__new__(cls)
-        obj._store(kind, data)
-        obj.domain = domain
-        return obj
+        pairs = [(domain.position(p), v)
+                 for p, v in dict(entries).items() for v in (coerce(v, kind),)]
+        return trusted(cls, domain=domain)._fill(kind, len(domain), pairs)
 
     def at(self, point):
-        return self._entry(self.domain.position(point))
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorVector):
-            return NotImplemented
-        return (self.kind == other.kind and self.domain == other.domain
-                and self._k == other._k)
+        return self.data[self.domain.position(point)]
 
     def __repr__(self):
         return f"TensorVector({self.kind}, |A|={len(self.domain)})"
@@ -201,5 +185,4 @@ def average(t: Tensor, fmap: IndexMap, normalized: bool = True) -> Tensor:
     return stored(Tensor, t.kind, take((den, re, im), order), domain=t.domain)
 
 
-def tensors_close(a: Tensor, b: Tensor, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
-    return a.domain == b.domain and data_close(a, b, rel_tol, abs_tol)
+tensors_close = data_close

@@ -6,6 +6,7 @@ fold, common denominator or Bareiss step, so the kernels get a second,
 independent code path on every input.
 """
 from fractions import Fraction
+from itertools import product
 from math import gcd, prod
 
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from stretchkit.errors import DimensionError, VariantError
 from stretchkit.indexing import IndexMap, IndexSet
+from stretchkit.jordan import JordanSpec, explicit_pair_matrix, jordan_block, spec_matrix
 from stretchkit.linalg import (DenseMatrix, DenseVector, det, kron, mat_mul, mat_vec,
-                               matrices_close)
+                               matrices_close, permutation_matrix)
 from stretchkit.scalars import CF64, GQ, REL_TOL, GaussianRational, close, data_close
 from stretchkit.stretching import kappa, stretch, stretch_vector
 from stretchkit.tensors import (Tensor, TensorVector, act, average, convolve, pure_tensor,
@@ -373,3 +375,130 @@ def test_zero_inputs_store_den_one_and_zero_is_shared():
         assert obj._k[0] == 1 and not any(obj._k[1]) and not any(obj._k[2])
         assert len({id(v) for v in obj.data}) == 1
     assert kappa(t, fmap) == ZERO
+
+
+def ref_k(kind, entries) -> tuple:
+    """Stored form of scalars from their Fraction parts: every part over the
+    least common denominator, then divided by the gcd of all the ints."""
+    if kind == CF64:
+        return 1, tuple(complex(v) for v in entries), None
+    parts = [(Fraction(v.re), Fraction(v.im)) for v in entries]
+    den = 1
+    for part in parts:
+        for q in part:
+            den = den * q.denominator // gcd(den, q.denominator)
+    re = [int(x * den) for x, _ in parts]
+    im = [int(y * den) for _, y in parts]
+    g = gcd(den, *re, *im)
+    return den // g, tuple(r // g for r in re), tuple(i // g for i in im)
+
+
+def ref_jordan(n, cells) -> list:
+    """Row-major n x n entries of a direct sum of Jordan cells (start, size, eig)."""
+    out = [ZERO] * (n * n)
+    for start, size, eig in cells:
+        for i in range(start, start + size):
+            out[i * n + i] = eig
+            if i + 1 < start + size:
+                out[i * n + i + 1] = GaussianRational(1)
+    return out
+
+
+def ref_kron(a, p, b, q) -> list:
+    """Entries of the Kronecker product of square p x p ``a`` and q x q ``b``,
+    first factor fastest: (i1 + p*i2, j1 + p*j2) holds a[i1, j1] * b[i2, j2]."""
+    n = p * q
+    out = [ZERO] * (n * n)
+    for i1, j1, i2, j2 in product(range(p), range(p), range(q), range(q)):
+        out[(i1 + p * i2) * n + j1 + p * j2] = a[i1 * p + j1] * b[i2 * q + j2]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), maps(max_points=6), kinds)
+def test_every_constructor_stores_the_reference_form(data, fmap, kind):
+    """Dense, sparse and row constructors of all four types: ``_k`` against
+    :func:`ref_k`, and the dense and sparse builds of one input are equal."""
+    domain, points = fmap.domain, fmap.domain.points
+    n = len(domain)
+    grid, vec = data.draw(values(n * n, kind)), data.draw(values(n, kind))
+    r, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    cells = data.draw(values(r * c, kind))
+    rows = [cells[i * c:(i + 1) * c] for i in range(r)]
+    nonzero = {(points[p // n], points[p % n]): v for p, v in enumerate(grid) if v}
+    built = [
+        (Tensor(domain, kind, grid), grid),
+        (Tensor.from_entries(domain, kind, nonzero), grid),
+        (TensorVector(domain, kind, vec), vec),
+        (TensorVector.from_entries(domain, kind,
+                                   {p: v for p, v in zip(points, vec) if v}), vec),
+        (DenseMatrix(kind, r, c, cells), cells),
+        (DenseMatrix.from_rows(rows, kind), cells),
+        (DenseVector(kind, r * c, cells), cells),
+    ]
+    for obj, entries in built:
+        assert obj.kind == kind and obj._k == ref_k(kind, entries)
+        assert obj.data == tuple(entries)
+    t, t_sparse, x, x_sparse, m, m_rows, v = (obj for obj, _ in built)
+    assert t.domain == t_sparse.domain == x.domain == x_sparse.domain == domain
+    assert (m.n_rows, m.n_cols, m_rows.n_rows, m_rows.n_cols, v.n) == (r, c, r, c, r * c)
+    assert t == t_sparse and x == x_sparse and m == m_rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 5), st.sampled_from((GQ, CF64)))
+def test_identity_and_permutation_matrices_store_the_reference_form(data, n, kind):
+    unit = GaussianRational(1) if kind == GQ else 1 + 0j
+    zero = ZERO if kind == GQ else 0j
+    assert DenseMatrix.identity(n, kind)._k == ref_k(
+        kind, [unit if i == j else zero for i in range(n) for j in range(n)])
+    perm = data.draw(st.permutations(range(n)))
+    m = permutation_matrix(perm, kind)
+    assert (m.kind, m.n_rows, m.n_cols) == (kind, n, n)
+    assert m._k == ref_k(kind, [unit if perm[j] == i else zero
+                                for i in range(n) for j in range(n)])
+
+
+jordan_eigs = st.builds(GaussianRational, fractions, fractions)
+specs = st.lists(st.tuples(st.integers(1, 3), jordan_eigs), min_size=1, max_size=3)
+
+
+def cells_of(blocks):
+    out, start = [], 0
+    for size, eig in blocks:
+        out.append((start, size, eig))
+        start += size
+    return out, start
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), jordan_eigs, specs, specs)
+def test_jordan_matrices_store_the_reference_form(size, eig, c_blocks, d_blocks):
+    """Non-real eigenvalues with denominators up to 2^61 - 1, zero ones too."""
+    block = jordan_block(size, eig)
+    assert block.kind == GQ and block._k == ref_k(GQ, ref_jordan(size, [(0, size, eig)]))
+    c, d = JordanSpec(c_blocks), JordanSpec(d_blocks)
+    (c_cells, p), (d_cells, q) = cells_of(c.blocks), cells_of(d.blocks)
+    a, b = ref_jordan(p, c_cells), ref_jordan(q, d_cells)
+    assert spec_matrix(c)._k == ref_k(GQ, a) and spec_matrix(d)._k == ref_k(GQ, b)
+    explicit = explicit_pair_matrix(c, d)
+    assert (explicit.n_rows, explicit.row_labels) == (p * q, tuple(range(p * q)))
+    assert explicit._k == ref_k(GQ, ref_kron(a, p, b, q))
+
+
+def test_equality_needs_the_same_type_kind_and_shape():
+    domain = IndexSet.rectangular((2,))
+    t = Tensor(domain, GQ, [1, 2, 3, 4])
+    m = DenseMatrix(GQ, 2, 2, [1, 2, 3, 4])
+    x, v = TensorVector(domain, GQ, [1, 2]), DenseVector(GQ, 2, [1, 2])
+    assert t._k == m._k and x._k == v._k
+    assert t != m and m != t and x != v and v != x and x != t
+    assert m != DenseMatrix(GQ, 1, 4, [1, 2, 3, 4]) and m != m.data
+    assert t != Tensor(IndexSet.explicit([(0,), (5,)]), GQ, [1, 2, 3, 4])
+    assert m != DenseMatrix(CF64, 2, 2, [1, 2, 3, 4])
+    assert m == DenseMatrix(GQ, 2, 2, [1, 2, 3, 4], row_labels=[7, 8])
+    for a, b in ((t, m), (x, v), (m, DenseMatrix(GQ, 1, 4, [1, 2, 3, 4]))):
+        assert not data_close(a, b) and not matrices_close(b, a)
+    f = DenseMatrix(CF64, 2, 2, [1, 2, 3, 4])
+    assert not data_close(f, DenseVector(CF64, 4, [1, 2, 3, 4]))
+    assert data_close(f, DenseMatrix(CF64, 2, 2, [1, 2, 3, 4 + 1e-13]))

@@ -156,6 +156,9 @@ def test_rank_exact_path_with_fractions():
 def test_nullity_sequence_single_cells():
     assert nullity_sequence(jordan_block(3, 0), 0, 4) == [1, 2, 3, 3]
     assert nullity_sequence(jordan_block(2, 5), 5, 3) == [1, 2, 2]
+    assert nullity_sequence(jordan_block(2, 5), 5, 1) == [1]
+    with pytest.raises(DimensionError, match="k_max must be at least 1"):
+        nullity_sequence(jordan_block(2, 5), 5, 0)
 
 
 def test_nullity_sequence_kronecker_case():

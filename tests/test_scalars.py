@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stretchkit.errors import VariantError
-from stretchkit.scalars import CF64, GQ, GaussianRational, close, coerce, gq, one, zero
+from stretchkit.scalars import CF64, GQ, GaussianRational, close, coerce, gq
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -68,12 +68,18 @@ def test_kind_tagging_and_coercion():
 
 
 def test_zero_one_and_truthiness():
-    assert not zero(GQ) and one(GQ)
-    assert not zero(CF64) and one(CF64)
-    assert zero(GQ) == gq(0)
-    for make in (zero, one):
+    assert not gq(0) and gq(1)
+    assert not 0j and 1 + 0j
+    assert coerce(0, GQ) == gq(0) and coerce(1, CF64) == 1 + 0j
+    for value in (0, 1):
         with pytest.raises(VariantError, match="unknown scalar kind 'f32'"):
-            make("f32")
+            coerce(value, "f32")
+
+
+def test_str_signs_the_imaginary_part():
+    assert str(gq(1, "1/2")) == "(1+1/2i)"
+    assert str(gq(1, "-1/2")) == "(1-1/2i)"
+    assert str(gq(0, 3)) == "(0+3i)" and str(gq("-2/3")) == "-2/3"
 
 
 def test_close_uses_relative_tolerance_with_absolute_floor():

@@ -8,7 +8,7 @@ from stretchkit.indexing import IndexMap, IndexSet, Permutation
 from stretchkit.jordan import jordan_block
 from stretchkit.linalg import (DenseMatrix, det, mat_mul, mat_vec,
                                permutation_matrix)
-from stretchkit.scalars import GQ, gq
+from stretchkit.scalars import CF64, GQ, gq
 from stretchkit.stretching import (SimilarityWitness, check_tp_witness, kappa,
                                    kernel_preservation_check, permute_stretch,
                                    stretch, stretch_vector,
@@ -295,6 +295,29 @@ def test_tp_witness_random_tables():
         assert check_tp_witness(f, tp_similarity_witness(f))
 
 
+def test_tp_witness_guard_rejects_each_bad_input_alone():
+    dom = IndexSet.rectangular((2, 2))
+    f = IndexMap.linear(dom, (1, 2))
+    good = tp_similarity_witness(f)
+    assert check_tp_witness(f, good)
+    # A non-injective map, a float matrix or a wrong shape fails on its own.
+    assert check_tp_witness(IndexMap.linear(dom, (1, 1)), good) is False
+    float_u = DenseMatrix(CF64, 4, 4, [complex(v.re) for v in good.matrix.data])
+    assert check_tp_witness(f, SimilarityWitness(good.perm, float_u)) is False
+    wide = DenseMatrix(GQ, 2, 8, good.matrix.data)
+    assert check_tp_witness(f, SimilarityWitness(good.perm, wide)) is False
+
+
+def test_similarity_witness_equality():
+    dom = IndexSet.rectangular((3,))
+    w = tp_similarity_witness(IndexMap.from_table(dom, {(0,): 5, (1,): -1, (2,): 0}))
+    assert w.perm == (2, 0, 1)
+    assert w == SimilarityWitness((2, 0, 1), permutation_matrix((2, 0, 1)))
+    assert w != SimilarityWitness((2, 0, 1), permutation_matrix((0, 1, 2)))
+    assert w != SimilarityWitness((0, 1, 2), w.matrix)
+    assert w != w.perm and w != w.matrix
+
+
 def test_tp_witness_with_two_swapped_entries_is_rejected():
     dom = IndexSet.rectangular((2, 3))
     f = rand_injective_table(random.Random(21), dom)
@@ -362,6 +385,16 @@ def test_kernel_preservation_reports():
         report = kernel_preservation_check(f, Permutation((2, 1)), trials=20, seed=3)
         assert report["passed"]
         assert report["details"]["trials"] == 20
+
+
+def test_kernel_preservation_needs_a_trial():
+    dom = IndexSet.rectangular((2, 2))
+    for f in (IndexMap.mixed_radix(dom), IndexMap.linear(dom, (1, 1))):
+        for trials in (0, -3):
+            with pytest.raises(DomainError, match=f"at least 1, got {trials}"):
+                kernel_preservation_check(f, Permutation((2, 1)), trials=trials)
+    report = kernel_preservation_check(IndexMap.linear(dom, (1, 1)), Permutation((2, 1)), 1)
+    assert report["details"] == {"trials": 1, "failures": 0, "vacuous": False}
 
 
 def test_kernel_difference_unit_stays_in_kernel_under_swap():

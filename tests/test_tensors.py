@@ -44,6 +44,14 @@ def test_pure_tensor_entry_formula():
     t = pure_tensor([a, b])
     assert t.at((0, 0), (1, 1)) == a.at(0, 1) * b.at(0, 1)
     assert t.at((1, 0), (0, 1)) == a.at(1, 0) * b.at(0, 1)
+    # Sizes (3, 2, 2): the running size multiplies, and 3 + 2 != 3 * 2.
+    c = rand_matrix(rng, 3)
+    t = pure_tensor([c, a, b])
+    assert t.domain == IndexSet.rectangular((3, 2, 2))
+    for pi in t.domain:
+        for pj in t.domain:
+            assert t.at(pi, pj) == \
+                c.at(pi[0], pj[0]) * a.at(pi[1], pj[1]) * b.at(pi[2], pj[2])
 
 
 def test_pure_tensor_rejects_mixed_kinds_and_rectangles():
@@ -145,6 +153,23 @@ def test_identity_tensor_is_identity_array():
     for i in range(4):
         for j in range(4):
             assert ident.at_pos(i, j) == (gq(1) if i == j else gq(0))
+
+
+def test_matrix_and_tensor_cells_check_both_indices():
+    m = DenseMatrix(GQ, 3, 3, range(9))
+    assert m.at(1, 2) == gq(5) and m.at(2, 0) == gq(6)
+    ident = identity_tensor(IndexSet.rectangular((2,)))
+    assert ident.at_pos(1, 1) == gq(1) and ident.at_pos(1, 0) == gq(0)
+    for i, j in ((0, 5), (-1, 0), (3, 0), (0, -1), (0, 3)):
+        with pytest.raises(IndexError):
+            m.at(i, j)
+    for i, j in ((0, 3), (-1, 0), (2, 0), (0, -1), (0, 2)):
+        with pytest.raises(IndexError):
+            ident.at_pos(i, j)
+    wide = DenseMatrix(CF64, 1, 4, [1, 2, 3, 4])
+    assert wide.at(0, 3) == 4
+    with pytest.raises(IndexError):
+        wide.at(1, 0)
 
 
 def test_star_involution_and_identity():

@@ -2,7 +2,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from stretchkit import stretching, verify
+from stretchkit.jordan import JordanSpec
 from stretchkit.linalg import DenseMatrix
 from stretchkit.scalars import GQ, GaussianRational, stored
 from stretchkit.tensors import Tensor, TensorVector
@@ -108,3 +111,25 @@ def test_permutation_isometry_catches_a_changed_entry(monkeypatch):
     report = verify.run_suite("permutation", 3, 5)
     assert check(report, "permutation-isometry")["details"]["failures"] == 3
     assert check(report, "permutation-composition")["passed"]
+
+
+@pytest.mark.parametrize("suite, name, wrong, check_name", [
+    ("tp-witness", "check_tp_witness", lambda ok: False, "tp-witness"),
+    ("averaging", "verify_averaging_decomposition", lambda r: {**r, "passed": False},
+     "decomposition-clauses"),
+    ("permutation", "kernel_preservation_check", lambda r: {**r, "passed": False},
+     "kernel-preservation"),
+    ("jordan", "jordan_pair", lambda spec: JordanSpec.single(9, 9), "pair-random"),
+])
+def test_one_failed_trial_counts_once(monkeypatch, suite, name, wrong, check_name):
+    real, calls = getattr(verify, name), []
+
+    def fail_first(*args, **kwargs):
+        calls.append(name)
+        out = real(*args, **kwargs)
+        return wrong(out) if len(calls) == 1 else out
+
+    monkeypatch.setattr(verify, name, fail_first)
+    report = verify.run_suite(suite, 3, 2)
+    assert check(report, check_name)["details"]["failures"] == 1
+    assert report["failed"] == 1 and not report["ok"]
