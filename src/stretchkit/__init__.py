@@ -13,8 +13,8 @@ from .indexing import (ClassPartition, IndexMap, IndexSet, Permutation,
                        enumerate_z, enumerate_z_inverse)
 from .jordan import (JordanOracleResult, JordanSpec, explicit_pair_matrix,
                      jordan_block, jordan_nfold, jordan_oracle, jordan_pair,
-                     jordan_product, nfold_eigenvalues, nfold_product_matrix,
-                     spec_matrix)
+                     jordan_product, nfold_eigenvalues, nfold_oracle,
+                     nfold_product_matrix, spec_matrix)
 from .linalg import (DenseMatrix, DenseVector, det, inverse, kron, mat_mul,
                      mat_vec, nullity_sequence, permutation_matrix, rank)
 from .scalars import CF64, GQ, GaussianRational, close, gq
@@ -41,7 +41,7 @@ __all__ = [
     "stretch_vector", "tp_similarity_witness", "verify_averaging_decomposition",
     "JordanOracleResult", "JordanSpec", "explicit_pair_matrix", "jordan_block",
     "jordan_nfold", "jordan_oracle", "jordan_pair", "jordan_product",
-    "nfold_eigenvalues", "nfold_product_matrix", "spec_matrix",
+    "nfold_eigenvalues", "nfold_oracle", "nfold_product_matrix", "spec_matrix",
     "SUITE_NAMES", "run_suite",
     "StretchkitError", "VariantError", "DimensionError", "DomainError",
     "PermutationDomainError", "ParseError",

@@ -17,7 +17,7 @@ from . import serialize as sz
 from .errors import (DimensionError, DomainError, ParseError,
                      PermutationDomainError, VariantError)
 from .indexing import Permutation
-from .jordan import jordan_nfold, jordan_oracle, nfold_eigenvalues, nfold_product_matrix
+from .jordan import jordan_nfold, nfold_oracle
 from .scalars import GQ
 from .stretching import (check_tp_witness, kappa, permute_stretch, stretch,
                          stretch_vector, tp_similarity_witness)
@@ -119,23 +119,20 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt_scalar(value, kind) -> str:
-    if kind == GQ:
-        return str(value)
-    return f"{value.real:.6g}{value.imag:+.6g}i" if value.imag else f"{value.real:.6g}"
-
-
-def _cells(obj) -> list:
-    kind = obj["scalar"]
-    return [[_fmt_scalar(sz.scalar_from_json(v, kind, "cell"), kind) for v in row]
-            for row in obj["data"]]
+def _cell(value, kind) -> str:
+    """Text of one entry of a matrix this command wrote as JSON; a canonical
+    ``"p/q"`` string prints as ``str`` of its Fraction does."""
+    re, im = value["re"], value["im"]
+    if kind != GQ:
+        return f"{re:.6g}{im:+.6g}i" if im else f"{re:.6g}"
+    re, im = (x[:-2] if x.endswith("/1") else x for x in (re, im))
+    if im == "0":
+        return re
+    return f"({re}{'-' if im[0] == '-' else '+'}{im.lstrip('-')}i)"
 
 
 def _pretty_matrix(obj) -> str:
-    try:
-        cells = _cells(obj)
-    except ParseError:  # this command's own output, past the int/str digit limit
-        cells = sz.without_digit_limit(_cells, obj)
+    cells = [[_cell(v, obj["scalar"]) for v in row] for row in obj["data"]]
     col_labels = obj.get("col_labels", list(range(obj["cols"])))
     row_labels = obj.get("row_labels", list(range(obj["rows"])))
     widths = [max(len(str(col_labels[j])),
@@ -207,8 +204,7 @@ def _cmd_jordan(args) -> int:
     if not args.verify:
         _emit(sz.jordan_spec_to_json(result), args.out, args.pretty)
         return EXIT_OK
-    oracle = jordan_oracle(nfold_product_matrix(specs), nfold_eigenvalues(specs))
-    oracle_spec = oracle.spec()
+    oracle_spec = nfold_oracle(specs)
     report = {
         "closed_form": sz.jordan_spec_to_json(result),
         "oracle": sz.jordan_spec_to_json(oracle_spec),

@@ -9,6 +9,7 @@ reshape under the canonical order.
 from __future__ import annotations
 
 from math import isqrt
+from operator import index
 
 from .errors import DomainError, ParseError, PermutationDomainError
 
@@ -43,7 +44,7 @@ class IndexSet:
     __slots__ = ("arity", "dims", "points", "_pos")
 
     def __init__(self, points, dims=None):
-        points = tuple(tuple(int(c) for c in p) for p in points)
+        points = tuple(tuple(map(index, p)) for p in points)
         if not points:
             raise DomainError("index set must be nonempty")
         arity = len(points[0])
@@ -54,13 +55,13 @@ class IndexSet:
         if len(set(points)) != len(points):
             raise DomainError("index set points must be distinct")
         self.arity = arity
-        self.dims = tuple(int(n) for n in dims) if dims is not None else None
+        self.dims = tuple(map(index, dims)) if dims is not None else None
         self.points = points
         self._pos = {p: i for i, p in enumerate(points)}
 
     @classmethod
     def rectangular(cls, dims) -> "IndexSet":
-        dims = tuple(int(n) for n in dims)
+        dims = tuple(map(index, dims))
         if not dims or any(n < 1 for n in dims):
             raise DomainError(f"rectangular dims must be positive, got {dims}")
         total = 1
@@ -71,7 +72,7 @@ class IndexSet:
 
     @classmethod
     def explicit(cls, points) -> "IndexSet":
-        pts = sorted((tuple(int(c) for c in p) for p in points),
+        pts = sorted((tuple(map(index, p)) for p in points),
                      key=lambda p: tuple(reversed(p)))
         return cls(pts)
 
@@ -115,7 +116,7 @@ class Permutation:
     __slots__ = ("one_line",)
 
     def __init__(self, one_line):
-        one_line = tuple(int(s) for s in one_line)
+        one_line = tuple(map(index, one_line))
         if sorted(one_line) != list(range(1, len(one_line) + 1)):
             raise ParseError(f"{one_line} is not a permutation of 1..{len(one_line)}")
         self.one_line = one_line
@@ -226,7 +227,7 @@ class IndexMap:
 
     @classmethod
     def linear(cls, domain, k) -> "IndexMap":
-        k = tuple(int(c) for c in k)
+        k = tuple(map(index, k))
         if len(k) != domain.arity:
             raise DomainError(
                 f"linear coefficient arity {len(k)} does not match index arity {domain.arity}")
@@ -244,7 +245,7 @@ class IndexMap:
 
     @classmethod
     def from_table(cls, domain, mapping) -> "IndexMap":
-        table = {tuple(p): int(v) for p, v in dict(mapping).items()}
+        table = {tuple(p): index(v) for p, v in dict(mapping).items()}
         for p in domain:
             if p not in table:
                 raise DomainError(f"table map is missing point {p}")

@@ -14,9 +14,10 @@ oracle certifies this choice on every run.
 from __future__ import annotations
 
 from functools import reduce
+from operator import index
 
 from .errors import DimensionError, DomainError, VariantError
-from .linalg import DenseMatrix, kron, power_nullities, square_matrix
+from .linalg import DenseMatrix, gauss_rows, kron, power_nullities, square_matrix
 from .scalars import GQ, GaussianRational, coerce, gq, trusted
 
 
@@ -38,7 +39,7 @@ class JordanSpec:
     def __init__(self, blocks):
         tally = {}
         for size, eig in blocks:
-            size = int(size)
+            size = index(size)
             if size < 1:
                 raise DimensionError("Jordan block sizes must be positive")
             sizes = tally.setdefault(coerce(eig, GQ), {})
@@ -85,9 +86,7 @@ def _canonical(tally) -> tuple:
 
 def jordan_block(size: int, eig) -> DenseMatrix:
     """Upper bidiagonal exact cell: eigenvalue on the diagonal, ones above it."""
-    if size < 1:
-        raise DimensionError("Jordan block sizes must be positive")
-    return spec_matrix(trusted(JordanSpec, counts=_canonical({coerce(eig, GQ): {size: 1}})))
+    return spec_matrix(JordanSpec.single(size, eig))
 
 
 def _cells(spec: JordanSpec):
@@ -209,13 +208,13 @@ def jordan_oracle(m: DenseMatrix, eigenvalues) -> JordanOracleResult:
         raise VariantError("the Jordan oracle requires exact ('gq') matrices")
     if not m.is_square:
         raise DimensionError("the Jordan oracle requires a square matrix")
-    n = m.n_rows
+    n, rows = m.n_rows, gauss_rows(m._k, m.n_cols)
     eigs = sorted({coerce(e, GQ) for e in eigenvalues}, key=_eig_key)
     eigen_data = []
     covered = 0
     for eig in eigs:
         weyr = [0]
-        for nullity in power_nullities(m, eig):
+        for nullity in power_nullities(rows, m._k[0], eig):
             stop = nullity in (weyr[-1], n) or len(weyr) > n
             weyr.append(nullity)
             if stop:
@@ -246,3 +245,11 @@ def nfold_eigenvalues(specs):
     for spec in specs:
         products = {p * e for p in products for e in spec.eigenvalues()}
     return sorted(products, key=_eig_key)
+
+
+def nfold_oracle(specs) -> JordanSpec:
+    """Jordan type of the n-fold stretched product of ``specs``, certified by
+    :func:`jordan_oracle` on the Kronecker product of the spec matrices; it
+    never reads the closed forms.  A pair of cells is the 2-fold case."""
+    specs = list(specs)
+    return jordan_oracle(nfold_product_matrix(specs), nfold_eigenvalues(specs)).spec()

@@ -11,7 +11,7 @@ Row and column labels are carried verbatim and never interpreted here.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import attrgetter, index, mul
 
 from .errors import DimensionError, VariantError
 from .scalars import GQ, Entries, coerce, data_close, scaled, stored, take, trusted
@@ -20,7 +20,7 @@ from .scalars import GQ, Entries, coerce, data_close, scaled, stored, take, trus
 def _labels(labels, n, what):
     if labels is None:
         return None
-    labels = tuple(int(x) for x in labels)
+    labels = tuple(map(index, labels))
     if len(labels) != n:
         raise DimensionError(f"{what} has {len(labels)} labels for {n} entries")
     return labels
@@ -246,7 +246,7 @@ def det(a: DenseMatrix):
     return scaled(sign * pr, sign * pi, a._k[0] ** a.n_rows)
 
 
-def _gauss_rows(entries, n_cols):
+def gauss_rows(entries, n_cols):
     """Gaussian-integer rows ``{col: (re, im)}`` of den * entries, given in
     exact kernel form ``(den, re, im)``, zeros left out."""
     _, re, im = entries
@@ -331,28 +331,28 @@ def rank(a: DenseMatrix) -> int:
     """Exact rank; only defined for 'gq' matrices."""
     if a.kind != GQ:
         raise VariantError("rank requires exact ('gq') entries")
-    return _rank_gauss(_gauss_rows(a._k, a.n_cols))
+    return _rank_gauss(gauss_rows(a._k, a.n_cols))
 
 
-def power_nullities(a: DenseMatrix, lam):
-    """Yield nullity((a - lam*I)^k) for k = 1, 2, ...; 'gq' square ``a``.
+def power_nullities(rows, den, lam):
+    """Yield nullity((A - lam*I)^k) for k = 1, 2, ... of an exact square A,
+    given as the Gaussian-integer rows of den * A (see :func:`gauss_rows`).
 
-    S = d * (a - lam*I), d the common denominator of ``a`` and ``lam``,
-    becomes Gaussian-integer rows once; scaling changes no rank, so the k-th
-    nullity is that of S^k.  Each power is S times the previous one, summed
-    over the nonzeros only: the matrices of Jordan products and their powers
-    are sparse.
+    S = d * (A - lam*I), d the common denominator of A and ``lam``, is built
+    from the rows' nonzeros; scaling changes no rank, so the k-th nullity is
+    that of S^k.  Each power is S times the previous one, summed over the
+    nonzeros only: the matrices of Jordan products and their powers are
+    sparse.
     """
-    n = a.n_rows
-    den, re, im = a._k
+    n = len(rows)
     d = lcm(den, lam.re.denominator, lam.im.denominator)
     s = d // den
-    re, im = [x * s for x in re], [y * s for y in im]
     lr, li = int(lam.re * d), int(lam.im * d)
-    for p in range(0, n * n, n + 1):
-        re[p] -= lr
-        im[p] -= li
-    shift = _gauss_rows((d, re, im), n)
+    shift = [{j: (x * s, y * s) for j, (x, y) in row.items()} for row in rows]
+    for i, row in enumerate(shift):
+        x, y = row.pop(i, (0, 0))
+        if (x, y) != (lr, li):
+            row[i] = (x - lr, y - li)
     power = shift
     while True:
         yield n - _rank_gauss(power)
@@ -375,7 +375,8 @@ def nullity_sequence(a: DenseMatrix, lam, k_max: int):
         raise DimensionError("nullity_sequence requires a square matrix")
     if k_max < 1:
         raise DimensionError("k_max must be at least 1")
-    return [v for _, v in zip(range(k_max), power_nullities(a, coerce(lam, GQ)))]
+    nullities = power_nullities(gauss_rows(a._k, a.n_cols), a._k[0], coerce(lam, GQ))
+    return [v for _, v in zip(range(k_max), nullities)]
 
 
 def inverse(a: DenseMatrix) -> DenseMatrix:

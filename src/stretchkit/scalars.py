@@ -124,7 +124,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value equals its Fraction, so it hashes like one.
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

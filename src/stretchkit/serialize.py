@@ -35,23 +35,19 @@ _NUMBER = frozenset((int, float))
 
 
 def fraction_to_str(f: Fraction) -> str:
+    """``"p/q"`` of ``f``.  A part past Python's int/str digit limit is written
+    with the limit lifted for this one call, so output stays exact however
+    large the numbers grew.  Input from outside is never parsed this way: the
+    limit guards against the quadratic time of parsing huge numbers."""
     try:
         return f"{f.numerator}/{f.denominator}"
-    except ValueError:  # a part past Python's int/str digit limit
-        return without_digit_limit(fraction_to_str, f)
-
-
-def without_digit_limit(convert, value):
-    """``convert(value)`` with Python's int/str digit limit lifted for this one
-    call, so output stays exact however large the numbers grew.  Input from
-    outside is never parsed this way: the limit guards against the quadratic
-    time of parsing huge numbers."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return convert(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return f"{f.numerator}/{f.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def fraction_from_str(text, path: str) -> Fraction:

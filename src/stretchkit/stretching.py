@@ -13,8 +13,8 @@ import random
 from .errors import DomainError
 from .indexing import IndexMap, Permutation
 from .linalg import (DenseMatrix, DenseVector, det, mat_mul, matrices_close,
-                     permutation_matrix, rank)
-from .scalars import GQ, stored, take
+                     permutation_matrix, square_matrix)
+from .scalars import GQ, coerce, stored, take
 from .tensors import Tensor, TensorVector, average, fold, require_domain
 
 
@@ -125,8 +125,12 @@ def verify_averaging_decomposition(t: Tensor, fmap: IndexMap) -> dict:
 
     Three clauses: (i) the normalized average stretches to the same matrix as
     the original tensor; (ii) stretching is injective on the span of
-    class-pair indicator tensors (full rank); (iii) the raw average stretches
-    to D * stretch(T) * D with D the diagonal of class sizes.
+    class-pair indicator tensors: the indicator of each class pair (c_i, c_j)
+    stretches to a matrix nonzero in the cell (c_i, c_j) alone, so the k^2
+    images have full rank.  ``indicator_rank`` counts the indicators that do;
+    a stretch sending one to a wrong cell fails (ii) even if the images stay
+    independent.  (iii) the raw average stretches to D * stretch(T) * D with
+    D the diagonal of class sizes.
     """
     part = fmap.partition()
     base = stretch(t, fmap)
@@ -136,18 +140,16 @@ def verify_averaging_decomposition(t: Tensor, fmap: IndexMap) -> dict:
 
     n_cls, cidx = len(part), part.class_of_position
     zeros = [0] * len(cidx) ** 2
-    stack = []  # the stretched indicators have integer entries: den 1
-    for ci in range(n_cls):
-        for cj in range(n_cls):
-            indicator = stored(Tensor, GQ, (1, [int(a == ci and b == cj) for a in cidx
-                                                for b in cidx], zeros), domain=t.domain)
-            stack += stretch(indicator, fmap)._k[1]
-    indicator_rank = rank(stored(DenseMatrix, GQ, (1, stack, [0] * len(stack)),
-                                 n_rows=n_cls ** 2, n_cols=n_cls ** 2,
-                                 row_labels=None, col_labels=None))
+    indicator_rank = 0
+    for cell in range(n_cls ** 2):
+        ci, cj = divmod(cell, n_cls)
+        indicator = stored(Tensor, GQ, (1, [int(a == ci and b == cj) for a in cidx
+                                            for b in cidx], zeros), domain=t.domain)
+        _, re, im = stretch(indicator, fmap)._k
+        indicator_rank += [p for p, (x, y) in enumerate(zip(re, im)) if x or y] == [cell]
 
-    d = DenseMatrix.from_rows([[part.sizes[i] if i == j else 0 for j in range(n_cls)]
-                               for i in range(n_cls)], t.kind)
+    d = square_matrix(t.kind, n_cls, [(i * (n_cls + 1), coerce(size, t.kind))
+                                      for i, size in enumerate(part.sizes)])
     raw_expected = mat_mul(mat_mul(d, base), d)
     raw_stretched = stretch(average(t, fmap, normalized=False), fmap)
     raw_conjugation = matrices_close(raw_stretched, raw_expected)

@@ -197,6 +197,16 @@ def test_jordan_nilpotent_factor_case(tmp_path, capsys):
     assert obj["closed_form"] == spec_json([(2, 0), (2, 0)])
 
 
+def test_jordan_verify_certifies_a_five_fold_product(tmp_path, capsys):
+    # N = 4^5 = 1,024; the oracle converts the product matrix to rows once.
+    specs = write_json(tmp_path, "specs.json", [spec_json([(2, 1), (2, 0)])] * 5)
+    code, out, _ = run_cli(["jordan", "--spec", specs, "--verify"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["agree"] is True
+    assert sum(b["size"] for b in obj["oracle"]["blocks"]) == 1024
+
+
 def test_jordan_float_eigenvalue_exits_5(tmp_path, capsys):
     bad = write_json(tmp_path, "bad.json", [
         {"blocks": [{"size": 2, "eigenvalue": {"re": 0.5, "im": 0.0}}]}])

@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stretchkit.errors import DimensionError
-from stretchkit.jordan import (JordanSpec, jordan_nfold, jordan_oracle,
-                               jordan_product, nfold_eigenvalues,
+from stretchkit.jordan import (JordanSpec, jordan_nfold, jordan_oracle, jordan_pair,
+                               jordan_product, nfold_eigenvalues, nfold_oracle,
                                nfold_product_matrix, spec_matrix)
-from stretchkit.linalg import DenseMatrix, inverse, nullity_sequence, rank
+from stretchkit.linalg import DenseMatrix, inverse, kron, nullity_sequence, rank
 from stretchkit.scalars import GQ, GaussianRational, gq
 
 BIG = 2 ** 70
@@ -140,6 +140,25 @@ def test_counted_product_matches_the_expanded_pairwise_loop(b1, b2):
 def test_counted_nfold_matches_the_expanded_fold(factors):
     expected = reduce(ref_product, factors[1:], ref_canonical(factors[0]))
     assert jordan_nfold([JordanSpec(b) for b in factors]).blocks == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(1, 2), st.sampled_from(EIGENVALUES)),
+                         min_size=1, max_size=2), min_size=1, max_size=3))
+def test_nfold_oracle_is_the_oracle_of_the_product_matrix(factors):
+    specs = [JordanSpec(b) for b in factors]
+    expected = jordan_oracle(nfold_product_matrix(specs), nfold_eigenvalues(specs)).spec()
+    assert nfold_oracle(specs) == expected == jordan_nfold(specs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(EIGENVALUES), st.integers(1, 4),
+       st.sampled_from(EIGENVALUES))
+def test_nfold_oracle_of_two_cells_is_the_pair_oracle(p, a, q, b):
+    product = kron(spec_matrix(JordanSpec.single(p, a)), spec_matrix(JordanSpec.single(q, b)))
+    expected = jordan_oracle(product, [a * b]).spec()
+    assert nfold_oracle([JordanSpec.single(p, a), JordanSpec.single(q, b)]) == expected
+    assert expected == jordan_pair(p, a, q, b)
 
 
 def test_eight_fold_stays_small_and_fast():

@@ -3,7 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import stretchkit
+from stretchkit import (GQ, DenseMatrix, IndexMap, IndexSet, JordanSpec,
+                        Permutation)
 
 
 def test_every_export_resolves_and_appears_once():
@@ -20,3 +24,24 @@ def test_star_import_binds_every_export():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "[]\n"
+
+
+# Integer arguments are read with operator.index: a float or a string is
+# refused, not truncated or parsed.
+NON_INTEGER_ARGUMENTS = {
+    "jordan block size": lambda: JordanSpec([(2.7, 1)]),
+    "rectangular dims": lambda: IndexSet.rectangular((2.9,)),
+    "explicit point": lambda: IndexSet.explicit([("1",)]),
+    "index set point": lambda: IndexSet([(0.0,)]),
+    "permutation": lambda: Permutation((1.5, 2)),
+    "linear coefficients": lambda: IndexMap.linear(IndexSet.rectangular((2, 2)), (0.5, 1)),
+    "table value": lambda: IndexMap.from_table(IndexSet.rectangular((2,)),
+                                               {(0,): 1.0, (1,): 2}),
+    "matrix labels": lambda: DenseMatrix(GQ, 2, 1, [1, 0], row_labels=[0.5, True]),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_ARGUMENTS.values(), ids=NON_INTEGER_ARGUMENTS)
+def test_constructors_refuse_non_integers(build):
+    with pytest.raises(TypeError):
+        build()

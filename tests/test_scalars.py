@@ -87,3 +87,16 @@ def test_close_uses_relative_tolerance_with_absolute_floor():
     assert not close(1e6, 1e6 * (1 + 1e-8))
     assert close(0.0, 1e-13)
     assert not close(0.0, 1e-11)
+
+
+@given(fractions)
+def test_real_values_hash_like_their_fraction(re):
+    value = GaussianRational(re)
+    assert hash(value) == hash(re)
+    assert value in {re} and {re: "x"}[value] == "x"
+
+
+def test_real_values_are_found_among_ints_and_fractions():
+    assert gq(2) in {2} and {2: "x"}[gq(2)] == "x"
+    assert gq(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert gq(2, 1) not in {2}

@@ -1,13 +1,15 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+from stretchkit import stretching
 from stretchkit.errors import DomainError, PermutationDomainError
 from stretchkit.indexing import IndexMap, IndexSet, Permutation
 from stretchkit.jordan import jordan_block
 from stretchkit.linalg import (DenseMatrix, det, mat_mul, mat_vec,
-                               permutation_matrix)
+                               permutation_matrix, rank)
 from stretchkit.scalars import CF64, GQ, gq
 from stretchkit.stretching import (SimilarityWitness, check_tp_witness, kappa,
                                    kernel_preservation_check, permute_stretch,
@@ -374,6 +376,46 @@ def test_averaging_decomposition_nontrivial_maps():
     a, b = rand_matrix(rng, 2), rand_matrix(rng, 2)
     pure = pure_tensor([a, b])
     assert verify_averaging_decomposition(pure, IndexMap.max_coord(dom))["passed"]
+
+
+def test_averaging_rejects_a_stretch_that_misplaces_one_indicator(monkeypatch):
+    dom = IndexSet.rectangular((2, 2))
+    fmap = IndexMap.max_coord(dom)  # classes {(0, 0)} and the other three points
+    cidx = fmap.partition().class_of_position
+    indicators = [Tensor(dom, GQ, [int(cidx[i] == ci and cidx[j] == cj)
+                                   for i in range(4) for j in range(4)])
+                  for ci in range(2) for cj in range(2)]
+    plain = stretching.stretch
+
+    def misplacing(t, f):
+        # The indicator of class pair (0, 0) also lands in cell (0, 1).
+        m = plain(t, f)
+        if t != indicators[0]:
+            return m
+        rows = m.to_rows()
+        rows[0][1] = rows[0][0]
+        return DenseMatrix.from_rows(rows, m.kind, m.row_labels, m.col_labels)
+
+    # The four images stay linearly independent: a rank test would pass.
+    assert rank(DenseMatrix.from_rows([misplacing(x, fmap).data for x in indicators],
+                                      GQ)) == 4
+    monkeypatch.setattr(stretching, "stretch", misplacing)
+    report = verify_averaging_decomposition(rand_tensor(random.Random(16), dom), fmap)
+    assert not report["passed"]
+    assert report["details"]["indicator_rank"] == 3 < report["details"]["expected_rank"]
+
+
+def test_averaging_on_27_points_stays_small():
+    dom = IndexSet.rectangular((3, 3, 3))
+    t = rand_tensor(random.Random(17), dom)
+    tracemalloc.start()
+    try:
+        report = verify_averaging_decomposition(t, IndexMap.mixed_radix(dom))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"] and report["details"]["indicator_rank"] == 27 ** 2
+    assert peak < 4 * 2 ** 20
 
 
 def test_kernel_preservation_reports():
