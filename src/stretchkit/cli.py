@@ -177,13 +177,7 @@ def _emit(obj, out_path, pretty: bool) -> None:
 
 
 def _load_map(path, domain=None):
-    obj = sz.load_json_file(path)
-    if domain is not None and isinstance(obj, dict) and "index_set" in obj:
-        embedded = sz.index_set_from_json(obj["index_set"], "map.index_set")
-        if embedded != domain:
-            raise DomainError(
-                "map.index_set does not match the domain of the other operand")
-    return sz.index_map_from_json(obj, domain, path="map")
+    return sz.index_map_from_json(sz.load_json_file(path), domain, path="map")
 
 
 def _cmd_tensor(args) -> int:

@@ -20,30 +20,12 @@ def dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def mixed_radix_value(point, dims) -> int:
-    value = 0
-    stride = 1
-    for coord, n in zip(point, dims):
-        value += coord * stride
-        stride *= n
-    return value
-
-
-def mixed_radix_point(value, dims) -> Point:
-    coords = []
-    rem = value
-    for n in dims:
-        coords.append(rem % n)
-        rem //= n
-    return tuple(coords)
-
-
 class IndexSet:
     """Finite subset of Z^l, either rectangular or an explicit point list."""
 
     __slots__ = ("arity", "dims", "points", "_pos")
 
-    def __init__(self, points, dims=None):
+    def __init__(self, points):
         points = tuple(tuple(map(index, p)) for p in points)
         if not points:
             raise DomainError("index set must be nonempty")
@@ -55,7 +37,7 @@ class IndexSet:
         if len(set(points)) != len(points):
             raise DomainError("index set points must be distinct")
         self.arity = arity
-        self.dims = tuple(map(index, dims)) if dims is not None else None
+        self.dims = None
         self.points = points
         self._pos = {p: i for i, p in enumerate(points)}
 
@@ -64,11 +46,12 @@ class IndexSet:
         dims = tuple(map(index, dims))
         if not dims or any(n < 1 for n in dims):
             raise DomainError(f"rectangular dims must be positive, got {dims}")
-        total = 1
-        for n in dims:
-            total *= n
-        points = [mixed_radix_point(i, dims) for i in range(total)]
-        return cls(points, dims)
+        points = [()]
+        for n in dims:  # first coordinate fastest
+            points = [p + (c,) for c in range(n) for p in points]
+        s = cls(points)
+        s.dims = dims
+        return s
 
     @classmethod
     def explicit(cls, points) -> "IndexSet":
@@ -237,7 +220,7 @@ class IndexMap:
     def mixed_radix(cls, domain) -> "IndexMap":
         if not domain.is_rectangular:
             raise DomainError("mixed-radix map requires a rectangular index set")
-        return cls(domain, [mixed_radix_value(p, domain.dims) for p in domain])
+        return cls(domain, range(len(domain)))  # canonical order is mixed-radix order
 
     @classmethod
     def max_coord(cls, domain) -> "IndexMap":
@@ -326,9 +309,9 @@ def _cantor_inv(z: int):
 
 def enumerate_z(point) -> int:
     """Value of the pinned enumeration bijection at a point of Z^l."""
-    acc = _zigzag(int(point[0]))
+    acc = _zigzag(index(point[0]))
     for coord in point[1:]:
-        acc = _cantor(acc, _zigzag(int(coord)))
+        acc = _cantor(acc, _zigzag(index(coord)))
     return _zigzag_inv(acc)
 
 
@@ -336,7 +319,7 @@ def enumerate_z_inverse(value: int, arity: int) -> Point:
     """Inverse of :func:`enumerate_z` for the given arity."""
     if arity < 1:
         raise DomainError("arity must be at least 1")
-    acc = _zigzag(int(value))
+    acc = _zigzag(index(value))
     naturals = []
     for _ in range(arity - 1):
         acc, y = _cantor_inv(acc)

@@ -138,12 +138,17 @@ def jordan_product(s1: JordanSpec, s2: JordanSpec) -> JordanSpec:
     return trusted(JordanSpec, counts=_canonical(tally))
 
 
-def jordan_nfold(specs) -> JordanSpec:
-    """Left fold of :func:`jordan_product`; the result is order-independent."""
+def _factors(specs) -> list:
+    """``specs`` as a list; an n-fold product needs at least one factor."""
     specs = list(specs)
     if not specs:
-        raise DomainError("jordan_nfold needs at least one spec")
-    return reduce(jordan_product, specs)
+        raise DomainError("an n-fold product needs at least one spec")
+    return specs
+
+
+def jordan_nfold(specs) -> JordanSpec:
+    """Left fold of :func:`jordan_product`; the result is order-independent."""
+    return reduce(jordan_product, _factors(specs))
 
 
 def explicit_pair_matrix(c: JordanSpec, d: JordanSpec) -> DenseMatrix:
@@ -236,7 +241,7 @@ def jordan_oracle(m: DenseMatrix, eigenvalues) -> JordanOracleResult:
 
 def nfold_product_matrix(specs) -> DenseMatrix:
     """Kronecker product (first factor fastest) of the specs' matrices."""
-    return reduce(kron, [spec_matrix(s) for s in specs])
+    return reduce(kron, [spec_matrix(s) for s in _factors(specs)])
 
 
 def nfold_eigenvalues(specs):
@@ -251,5 +256,5 @@ def nfold_oracle(specs) -> JordanSpec:
     """Jordan type of the n-fold stretched product of ``specs``, certified by
     :func:`jordan_oracle` on the Kronecker product of the spec matrices; it
     never reads the closed forms.  A pair of cells is the 2-fold case."""
-    specs = list(specs)
+    specs = _factors(specs)
     return jordan_oracle(nfold_product_matrix(specs), nfold_eigenvalues(specs)).spec()

@@ -35,12 +35,7 @@ class DenseMatrix(Entries):
     def __init__(self, kind, n_rows, n_cols, data, row_labels=None, col_labels=None):
         if n_rows < 1 or n_cols < 1:
             raise DimensionError("matrix dimensions must be positive")
-        data = [coerce(v, kind) for v in data]
-        if len(data) != n_rows * n_cols:
-            raise DimensionError(
-                f"matrix data has {len(data)} entries, expected {n_rows}x{n_cols}"
-            )
-        self._fill(kind, len(data), enumerate(data))
+        self._fill_dense(kind, n_rows * n_cols, data)
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.row_labels = _labels(row_labels, n_rows, "row_labels")
@@ -101,10 +96,7 @@ class DenseVector(Entries):
     def __init__(self, kind, n, data, labels=None):
         if n < 1:
             raise DimensionError("vector length must be positive")
-        data = [coerce(v, kind) for v in data]
-        if len(data) != n:
-            raise DimensionError(f"vector data has {len(data)} entries, expected {n}")
-        self._fill(kind, n, enumerate(data))
+        self._fill_dense(kind, n, data)
         self.n = n
         self.labels = _labels(labels, n, "labels")
 

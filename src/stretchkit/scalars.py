@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import VariantError
+from .errors import DimensionError, VariantError
 
 GQ = "gq"
 CF64 = "cf64"
@@ -254,6 +254,15 @@ class Entries:
         self.kind, self._data = kind, tuple(values)
         self._k = 1, self._data, None
         return self
+
+    def _fill_dense(self, kind, count, data):
+        """Store ``data``, all ``count`` entries in position order, each
+        through :func:`coerce`; returns ``self``."""
+        data = [coerce(v, kind) for v in data]
+        if len(data) != count:
+            raise DimensionError(
+                f"{type(self).__name__} needs {count} entries, got {len(data)}")
+        return self._fill(kind, count, enumerate(data))
 
     @property
     def data(self) -> tuple:

@@ -10,9 +10,8 @@ joins strings per container instead, escapes strings with the C
 once per depth (a tensor repeats each row, column and point list n times).
 
 Parse failures raise :class:`~stretchkit.errors.ParseError` with the
-offending field in the message.  Tensor and vector entries take a fast path
-that builds no field paths; an entry it does not accept is checked again
-with the paths, which then name the failing field.  Within one tensor or
+offending field in the message.  Each tensor or vector entry is read once,
+and only a failing entry gets the path that names it.  Within one tensor or
 vector each distinct exact value string pair is parsed once.
 """
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .errors import DomainError, ParseError, VariantError
 from .indexing import IndexMap, IndexSet
 from .jordan import JordanSpec
 from .linalg import DenseMatrix, DenseVector
-from .scalars import CF64, GQ, KINDS, GaussianRational
+from .scalars import GQ, KINDS, GaussianRational
 from .tensors import Tensor, TensorVector
 
 _FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
@@ -71,15 +70,26 @@ def scalar_to_json(value, kind: str) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
-def scalar_from_json(obj, kind: str, path: str):
-    if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-        raise ParseError(f"{path}: expected an object with \"re\" and \"im\"")
+def scalar_from_json(obj, kind: str, path: str, memo=None):
+    """The scalar of ``kind`` in ``obj``; a failure names ``path``.  A
+    ``memo`` dict keeps each exact value by its ``(re, im)`` strings, so a
+    repeated pair is parsed once and its value shared."""
+    try:  # any JSON value but an object raises TypeError here
+        re_part, im_part = obj["re"], obj["im"]
+    except (KeyError, TypeError):
+        raise ParseError(f"{path}: expected an object with \"re\" and \"im\"") from None
     if kind == GQ:
-        return GaussianRational(fraction_from_str(obj["re"], f"{path}.re"),
-                                fraction_from_str(obj["im"], f"{path}.im"))
-    re_part, im_part = obj["re"], obj["im"]
-    if isinstance(re_part, bool) or isinstance(im_part, bool) or \
-            not isinstance(re_part, (int, float)) or not isinstance(im_part, (int, float)):
+        if memo is None or type(re_part) is not str or type(im_part) is not str:
+            return GaussianRational(fraction_from_str(re_part, f"{path}.re"),
+                                    fraction_from_str(im_part, f"{path}.im"))
+        value = memo.get((re_part, im_part))
+        if value is None:
+            value = memo[re_part, im_part] = scalar_from_json(obj, kind, path)
+        return value
+    # Subclasses of int and float pass; JSON true/false (bool) do not.
+    if (type(re_part) not in _NUMBER or type(im_part) not in _NUMBER) and (
+            isinstance(re_part, bool) or isinstance(im_part, bool) or
+            not isinstance(re_part, (int, float)) or not isinstance(im_part, (int, float))):
         raise ParseError(f"{path}: cf64 components must be numbers")
     return complex(re_part, im_part)
 
@@ -153,8 +163,13 @@ def index_map_from_json(obj, domain: IndexSet | None = None,
 
     The domain normally comes from the tensor or vector it accompanies; a
     payload may also embed its own "index_set" (required when no other
-    operand supplies one, e.g. for the similarity-witness command).
+    operand supplies one, e.g. for the similarity-witness command).  An
+    embedded set must equal a given ``domain``.
     """
+    if domain is not None and isinstance(obj, dict) and "index_set" in obj:
+        if index_set_from_json(obj["index_set"], f"{path}.index_set") != domain:
+            raise DomainError(
+                f"{path}.index_set does not match the domain of the other operand")
     kind = _require(obj, "kind", path, str)
     if domain is None:
         if "index_set" not in obj:
@@ -199,62 +214,30 @@ def tensor_to_json(t: Tensor) -> dict:
 
 
 def _pair_key(entry):
-    """``(row, col)`` of a tensor entry if both are lists of plain ints, else None."""
-    row, col = entry.get("row"), entry.get("col")
-    if type(row) is list and type(col) is list and _INT.issuperset(map(type, row + col)):
-        return tuple(row), tuple(col)
-    return None
+    """``(row, col)`` of a tensor entry; raises naming the failing field."""
+    if type(entry) is dict:
+        row, col = entry.get("row"), entry.get("col")
+        if type(row) is list and type(col) is list and _INT.issuperset(map(type, row + col)):
+            return tuple(row), tuple(col)
+    return _point(entry, "row"), _point(entry, "col")
 
 
 def _point_key(entry):
-    """``(point,)`` of a vector entry if it is a list of plain ints, else None."""
-    point = entry.get("point")
-    if type(point) is list and _INT.issuperset(map(type, point)):
-        return (tuple(point),)
-    return None
+    """``(point,)`` of a vector entry; raises naming the failing field."""
+    if type(entry) is dict:
+        point = entry.get("point")
+        if type(point) is list and _INT.issuperset(map(type, point)):
+            return (tuple(point),)
+    return (_point(entry, "point"),)
+
+
+def _point(entry, name):
+    """Field ``name`` of an entry as a point, through the checks whose
+    messages are relative to the entry."""
+    return tuple(_int_list(_require(entry, name, ""), f".{name}"))
 
 
 _KEY_OF = {("row", "col"): _pair_key, ("point",): _point_key}
-
-
-def _value_parser(kind):
-    """Fast scalar parser for ``kind``: the value, or None where
-    :func:`scalar_from_json` might raise.  Exact values are parsed once per
-    distinct (re, im) string pair; one immutable value is shared."""
-    if kind == CF64:
-        def parse(obj):
-            if type(obj) is dict:
-                re_part, im_part = obj.get("re"), obj.get("im")
-                if type(re_part) in _NUMBER and type(im_part) in _NUMBER:
-                    return complex(re_part, im_part)
-            return None
-        return parse
-    memo = {}
-
-    def parse(obj):
-        if type(obj) is not dict:
-            return None
-        key = obj.get("re"), obj.get("im")
-        if type(key[0]) is not str or type(key[1]) is not str:
-            return None
-        value = memo.get(key)
-        if value is None:
-            try:
-                value = memo[key] = GaussianRational(fraction_from_str(key[0], "re"),
-                                                     fraction_from_str(key[1], "im"))
-            except ParseError:
-                return None
-        return value
-    return parse
-
-
-def _checked_entry(entry, i, fields, kind, path):
-    """Key and value of entry ``i`` through the checks that name the failing
-    field; raises the first failure."""
-    where = f"{path}.entries[{i}]"
-    key = tuple(tuple(_int_list(_require(entry, name, where), f"{where}.{name}"))
-                for name in fields)
-    return key, scalar_from_json(_require(entry, "value", where), kind, f"{where}.value")
 
 
 def _entries(obj, fields, path):
@@ -262,14 +245,16 @@ def _entries(obj, fields, path):
     payload, one point per name in ``fields``; a repeated key is an error."""
     domain = index_set_from_json(_require(obj, "index_set", path), f"{path}.index_set")
     kind = _kind(obj, path)
-    key_of, value_of = _KEY_OF[fields], _value_parser(kind)
+    key_of, memo = _KEY_OF[fields], {}
     entries = {}
     for i, entry in enumerate(_require(obj, "entries", path, list)):
-        key = value = None
-        if type(entry) is dict:
-            key, value = key_of(entry), value_of(entry.get("value"))
-        if key is None or value is None:
-            key, value = _checked_entry(entry, i, fields, kind, path)
+        try:
+            key = key_of(entry)  # a dict from here on
+            value = scalar_from_json(entry["value"], kind, ".value", memo)
+        except KeyError:  # only entry["value"] can raise it
+            raise ParseError(f"{path}.entries[{i}]: missing field \"value\"") from None
+        except ParseError as exc:
+            raise ParseError(f"{path}.entries[{i}]{exc}") from None
         if key in entries:
             raise ParseError(f"{path}.entries[{i}]: repeats " + ", ".join(
                 f"{name} {list(point)}" for name, point in zip(fields, key)))

@@ -24,11 +24,7 @@ class Tensor(Entries):
     _shape = attrgetter("domain")
 
     def __init__(self, domain: IndexSet, kind, data):
-        data = [coerce(v, kind) for v in data]
-        n = len(domain)
-        if len(data) != n * n:
-            raise DimensionError(f"tensor needs {n * n} entries, got {len(data)}")
-        self._fill(kind, n * n, enumerate(data))
+        self._fill_dense(kind, len(domain) ** 2, data)
         self.domain = domain
 
     @classmethod
@@ -62,10 +58,7 @@ class TensorVector(Entries):
     _shape = attrgetter("domain")
 
     def __init__(self, domain: IndexSet, kind, data):
-        data = [coerce(v, kind) for v in data]
-        if len(data) != len(domain):
-            raise DimensionError(f"vector needs {len(domain)} entries, got {len(data)}")
-        self._fill(kind, len(data), enumerate(data))
+        self._fill_dense(kind, len(domain), data)
         self.domain = domain
 
     @classmethod

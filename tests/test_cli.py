@@ -332,6 +332,34 @@ def test_domain_mismatch_exits_3(tmp_path, fixtures_dir, capsys):
     assert "index_set" in err
 
 
+# Recorded before the embedded-set check moved from the CLI into
+# serialize.index_map_from_json: the domain check still runs before "kind".
+_MAP_FILE_GOLDEN = [
+    ("stretch", {"kind": "max", "index_set": None},
+     'parse error: map.index_set: missing field "kind"'),
+    ("tp-witness", {"kind": "max", "index_set": None},
+     'parse error: map.index_set: missing field "kind"'),
+    ("tp-witness", {"index_set": {"kind": "rectangular", "dims": [0]}},
+     'parse error: map: missing field "kind"'),
+    ("stretch", {"index_set": {"kind": "rectangular", "dims": [3, 3]}},
+     "domain error: map.index_set does not match the domain of the other operand"),
+]
+
+
+@pytest.mark.parametrize("command, fmap, message", _MAP_FILE_GOLDEN, ids=[
+    "stretch-null-set", "tp-witness-null-set", "tp-witness-no-kind-bad-set",
+    "stretch-no-kind-other-set"])
+def test_map_file_index_set_messages(tmp_path, capsys, command, fmap, message):
+    tensor = write_json(tmp_path, "t.json", {
+        "index_set": {"kind": "rectangular", "dims": [2, 2]}, "scalar": "gq",
+        "entries": [{"row": [0, 0], "col": [1, 1], "value": {"re": "1/1", "im": "0/1"}}]})
+    args = ["--map", write_json(tmp_path, "map.json", fmap)]
+    if command == "stretch":
+        args = ["--tensor", tensor] + args
+    code, out, err = run_cli([command] + args, capsys)
+    assert (code, out, err) == (2 if message.startswith("parse") else 3, "", message + "\n")
+
+
 def test_out_flag_writes_file(tmp_path, fixtures_dir, capsys):
     out_path = tmp_path / "result.json"
     code, out, _ = run_cli(["stretch",

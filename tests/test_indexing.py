@@ -7,14 +7,22 @@ from hypothesis import strategies as st
 
 from stretchkit.errors import DomainError, ParseError, PermutationDomainError
 from stretchkit.indexing import (IndexMap, IndexSet, Permutation, enumerate_z,
-                                 enumerate_z_inverse, mixed_radix_value)
+                                 enumerate_z_inverse)
 
 
 def test_rectangular_canonical_order_is_mixed_radix():
     s = IndexSet.rectangular((2, 3))
     assert s.points == ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
     for pos, p in enumerate(s.points):
-        assert mixed_radix_value(p, s.dims) == pos
+        assert p[0] + 2 * p[1] == pos
+
+
+def test_index_set_takes_no_dims():
+    # Only IndexSet.rectangular sets dims, from the points it builds.
+    with pytest.raises(TypeError):
+        IndexSet([(0,), (1,)], dims=(5,))
+    assert IndexSet([(0,), (1,)]).dims is None
+    assert IndexSet.rectangular((2, 1, 3)).dims == (2, 1, 3)
 
 
 def test_explicit_sorting_matches_rectangular_order():

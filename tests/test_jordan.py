@@ -8,7 +8,7 @@ from stretchkit.errors import DimensionError, DomainError, VariantError
 from stretchkit.indexing import IndexMap
 from stretchkit.jordan import (JordanSpec, explicit_pair_matrix, jordan_block,
                                jordan_nfold, jordan_oracle, jordan_pair,
-                               jordan_product, nfold_eigenvalues,
+                               jordan_product, nfold_eigenvalues, nfold_oracle,
                                nfold_product_matrix, spec_matrix)
 from stretchkit.linalg import DenseMatrix, det, inverse, kron, mat_mul
 from stretchkit.scalars import GQ, gq
@@ -147,6 +147,12 @@ def test_explicit_pair_matrix_equals_generic_stretch():
 def test_nfold_single_spec_is_itself():
     s = JordanSpec([(2, 1), (1, 3)])
     assert jordan_nfold([s]) == s
+
+
+@pytest.mark.parametrize("fold", [jordan_nfold, nfold_oracle, nfold_product_matrix])
+def test_nfold_of_no_specs_is_a_domain_error(fold):
+    with pytest.raises(DomainError, match="^an n-fold product needs at least one spec$"):
+        fold(iter([]))
 
 
 def test_nfold_two_and_three_factors():

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from stretchkit.errors import DimensionError, VariantError
+from stretchkit.indexing import IndexSet
 from stretchkit.jordan import jordan_block
 from stretchkit.linalg import (DenseMatrix, DenseVector, det, inverse, kron,
                                mat_mul, mat_vec, matrices_close,
                                nullity_sequence, permutation_matrix, rank)
 from stretchkit.scalars import CF64, GQ, gq
+from stretchkit.tensors import Tensor, TensorVector
 
 
 def rand_gq_matrix(rng, n, m=None, span=5):
@@ -195,6 +197,24 @@ def test_inverse_round_trip():
     assert matrices_close(inverse(swap), DenseMatrix.from_rows([[0, 0.25], [0.5, 0]], CF64))
     with pytest.raises(DimensionError):
         inverse(DenseMatrix.from_rows([[1.0, 2.0], [2.0, 4.0]], CF64))
+
+
+_DENSE = {
+    "DenseMatrix": (lambda data: DenseMatrix(GQ, 2, 3, data), 6),
+    "DenseVector": (lambda data: DenseVector(GQ, 4, data), 4),
+    "Tensor": (lambda data: Tensor(IndexSet.rectangular((2,)), GQ, data), 4),
+    "TensorVector": (lambda data: TensorVector(IndexSet.rectangular((3,)), GQ, data), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE))
+def test_dense_constructors_check_their_entry_count(name):
+    build, count = _DENSE[name]
+    assert build([1] * count).data == (gq(1),) * count
+    for wrong in (count - 1, count + 1):
+        with pytest.raises(DimensionError) as info:
+            build([1] * wrong)
+        assert str(info.value) == f"{name} needs {count} entries, got {wrong}"
 
 
 def test_permutation_matrix_moves_basis_vectors():

@@ -7,7 +7,7 @@ import pytest
 
 import stretchkit
 from stretchkit import (GQ, DenseMatrix, IndexMap, IndexSet, JordanSpec,
-                        Permutation)
+                        Permutation, enumerate_z, enumerate_z_inverse)
 
 
 def test_every_export_resolves_and_appears_once():
@@ -38,6 +38,8 @@ NON_INTEGER_ARGUMENTS = {
     "table value": lambda: IndexMap.from_table(IndexSet.rectangular((2,)),
                                                {(0,): 1.0, (1,): 2}),
     "matrix labels": lambda: DenseMatrix(GQ, 2, 1, [1, 0], row_labels=[0.5, True]),
+    "enumeration point": lambda: enumerate_z((0.5, 1.7)),
+    "enumeration value": lambda: enumerate_z_inverse(2.9, 1),
 }
 
 

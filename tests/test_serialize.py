@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stretchkit import serialize as sz
-from stretchkit.errors import ParseError, VariantError
+from stretchkit.errors import DomainError, ParseError, VariantError
 from stretchkit.indexing import IndexMap, IndexSet
 from stretchkit.jordan import JordanSpec
 from stretchkit.linalg import DenseMatrix, DenseVector
@@ -81,6 +81,16 @@ def test_index_map_round_trip_all_kinds():
     assert sz.index_map_from_json(obj, None).pointwise_equal(cases[0][1])
     with pytest.raises(ParseError, match="index_set"):
         sz.index_map_from_json({"kind": "max"}, None)
+
+
+def test_embedded_index_set_must_equal_a_given_domain():
+    obj = {"kind": "max", "index_set": {"kind": "rectangular", "dims": [3, 3]}}
+    with pytest.raises(DomainError) as info:
+        sz.index_map_from_json(obj, IndexSet.rectangular((2, 2)))
+    assert str(info.value) == "map.index_set does not match the domain of the other operand"
+    same = IndexSet.explicit([(1, 1), (0, 0), (1, 0), (0, 1)])
+    assert sz.index_map_from_json(obj | {"index_set": sz.index_set_to_json(same)},
+                                  IndexSet.rectangular((2, 2))).domain == same
 
 
 def test_tensor_round_trip_drops_zeros():
