@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from cmath import isfinite
 from fractions import Fraction
 
 from .errors import DomainError, ParseError, VariantError
@@ -91,7 +92,12 @@ def scalar_from_json(obj, kind: str, path: str, memo=None):
             isinstance(re_part, bool) or isinstance(im_part, bool) or
             not isinstance(re_part, (int, float)) or not isinstance(im_part, (int, float))):
         raise ParseError(f"{path}: cf64 components must be numbers")
-    return complex(re_part, im_part)
+    try:  # json reads NaN, Infinity and 1e400 as floats; a 400-digit int overflows
+        if isfinite(value := complex(re_part, im_part)):
+            return value
+    except OverflowError:
+        pass
+    raise ParseError(f"{path}: cf64 components must be finite")
 
 
 def _require(obj, key, path, types=None):

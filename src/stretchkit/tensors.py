@@ -115,9 +115,11 @@ def identity_tensor(domain: IndexSet, kind=GQ) -> Tensor:
 
 def fold(obj, rows, cols):
     """:func:`class_fold` of a tensor's or vector's stored entries on the
-    ``class_grid(rows, cols)``, in the same kernel form."""
+    ``class_grid(rows, cols)``, in the same kernel form; they must fill it."""
     grid = class_grid(rows, cols)
     den, re, im = obj._k
+    if len(re) != len(grid[0]):  # a vector passed for a tensor, or the reverse
+        raise DimensionError(f"{type(obj).__name__} has {len(re)} entries, needs {len(grid[0])}")
     if im is None:
         return 1, class_fold(re, grid, 0j), None
     return den, class_fold(re, grid), class_fold(im, grid)

@@ -20,8 +20,7 @@ from stretchkit.stretching import (check_tp_witness, stretch,
                                    tp_similarity_witness,
                                    verify_averaging_decomposition)
 from stretchkit.tensors import average, pure_tensor
-from stretchkit.verify import (rand_injective_table, rand_tensor, run_suite,
-                               suite_permutation)
+from stretchkit.verify import rand_injective_table, rand_tensor, run_suite
 
 SEED = 20240816
 
@@ -266,7 +265,7 @@ def test_criterion_8_averaging_decomposition():
 
 def test_criterion_9_permutation_operators():
     with criterion(9, "permutation composition, isometry, kernel", 10.0):
-        checks = suite_permutation(100, SEED + 9)
+        checks = run_suite("permutation", 100, SEED + 9)["checks"]
         for check in checks:
             assert check["passed"], check
             assert check["details"]["trials"] == 100

@@ -397,6 +397,24 @@ def test_unreadable_json_exits_2(tmp_path, fixtures_dir, capsys, content):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "-Infinity", "1e400", "int-past-float-range"])
+@pytest.mark.parametrize("what", ["tensor", "vector"])
+def test_non_finite_cf64_input_exits_2(tmp_path, fixtures_dir, capsys, token, what):
+    # json reads these tokens as nan, inf or a float past its range (the last, an
+    # int, overflows complex()); none of them round-trips as JSON.
+    cell = '"point": [0, 0]' if what == "vector" else '"row": [0, 0], "col": [0, 0]'
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"index_set": {"kind": "rectangular", "dims": [2, 2]}, "scalar": "cf64", '
+                   f'"entries": [{{{cell}, "value": {{"re": 1.5, "im": 0}}}}, '
+                   f'{{{cell}, "value": {{"re": 0.5, "im": {token}}}}}]}}')
+    command = "stretch-vector" if what == "vector" else "stretch"
+    code, out, err = run_cli([command, f"--{what}", str(bad),
+                              "--map", str(fixtures_dir / "map_max.json")], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {what}.entries[1].value: cf64 components must be finite\n"
+
+
 USAGE = {
     None: "[-h] {stretch,stretch-vector,convolve,act,average,kappa,permute,jordan,"
           "tp-witness,verify} ...",

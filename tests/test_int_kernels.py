@@ -213,7 +213,7 @@ def test_kappa_is_the_determinant_of_the_reference_stretch(data, fmap):
 @given(st.data(), st.integers(1, 5), st.booleans())
 def test_det_with_row_swaps_and_complex_pivots(data, n, leading_zero):
     """A zero leading entry forces a row swap; non-real entries give complex pivots."""
-    nonreal = st.builds(GaussianRational, fractions, fractions.filter(bool))
+    nonreal = st.builds(GaussianRational, fractions, fractions.map(lambda f: f or Fraction(1)))
     entries = data.draw(st.lists(st.one_of(nonreal, st.builds(GaussianRational, fractions)),
                                  min_size=n * n, max_size=n * n))
     if leading_zero and n > 1:

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from stretchkit import tensors
-from stretchkit.errors import DomainError, VariantError
+from stretchkit.errors import DimensionError, DomainError, VariantError
 from stretchkit.indexing import IndexMap, IndexSet
 from stretchkit.linalg import DenseMatrix, mat_mul
 from stretchkit.scalars import CF64, GQ, coerce, gq
+from stretchkit.stretching import stretch, stretch_vector
 from stretchkit.tensors import (Tensor, TensorVector, act, average, convolve,
                                 identity_tensor, pure_tensor, star)
 from stretchkit.verify import (rand_map, rand_matrix, rand_rect_set,
@@ -285,6 +286,26 @@ def test_domain_and_kind_mismatches_raise():
         convolve(t, identity_tensor(dom, CF64), f)
     with pytest.raises(DomainError):
         act(identity_tensor(other, GQ), TensorVector(other, GQ, [0] * len(other)), f)
+
+
+VECTOR_FOR_TENSOR = "TensorVector has 4 entries, needs 16"
+TENSOR_FOR_VECTOR = "Tensor has 16 entries, needs 4"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t, x, f: stretch(x, f), VECTOR_FOR_TENSOR),
+    (lambda t, x, f: stretch_vector(t, f), TENSOR_FOR_VECTOR),
+    (lambda t, x, f: convolve(t, x, f), VECTOR_FOR_TENSOR),
+    (lambda t, x, f: act(t, t, f), TENSOR_FOR_VECTOR),
+    (lambda t, x, f: average(x, f), VECTOR_FOR_TENSOR),
+], ids=["stretch", "stretch_vector", "convolve", "act", "average"])
+def test_wrong_shape_operands_raise(call, message):
+    rng = random.Random(5)
+    dom = IndexSet.rectangular((2, 2))
+    t, x = rand_tensor(rng, dom), rand_tensor_vector(rng, dom)
+    with pytest.raises(DimensionError) as info:
+        call(t, x, IndexMap.max_coord(dom))
+    assert str(info.value) == message
 
 
 def test_from_entries_coerces_each_given_entry_once(monkeypatch):

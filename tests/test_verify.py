@@ -1,4 +1,5 @@
 """The verify suites' instance draws and the independence of their checks."""
+import hashlib
 import random
 from fractions import Fraction
 
@@ -133,3 +134,67 @@ def test_one_failed_trial_counts_once(monkeypatch, suite, name, wrong, check_nam
     report = verify.run_suite(suite, 3, 2)
     assert check(report, check_name)["details"]["failures"] == 1
     assert report["failed"] == 1 and not report["ok"]
+
+
+# Digest of the end states of every random.Random that run_suite(name,
+# trials, seed) creates, in creation order, with the number created; taken
+# before the suites became trial generators counted by one runner.
+DRAW_DIGESTS = {
+    ("homomorphism", 1, 0): ("8d04430b6accfb20", 1),
+    ("homomorphism", 7, 3): ("96ea4a4189f4a024", 1),
+    ("associativity", 1, 0): ("558516b793f82dad", 1),
+    ("associativity", 7, 3): ("637acc861e065694", 1),
+    ("adjoint", 1, 0): ("55b455a76b19d328", 1),
+    ("adjoint", 7, 3): ("d807c52970cc9452", 1),
+    ("kappa", 1, 0): ("5703753b1eab29e0", 1),
+    ("kappa", 7, 3): ("d7e232e2b191c30a", 1),
+    ("averaging", 1, 0): ("e436793050212302", 1),
+    ("averaging", 7, 3): ("531c76be7047a55b", 1),
+    ("permutation", 1, 0): ("5f7620e262dbbcfd", 2),
+    ("permutation", 7, 3): ("e65254d071fd9081", 8),
+    ("jordan", 0, 2): ("b6f50de01877f339", 1),
+    ("jordan", 1, 0): ("31bfb3820bc56613", 1),
+    ("jordan", 7, 3): ("0b466188c2593a2d", 1),
+    ("tp-witness", 1, 0): ("d4962eeb3d68b4f2", 1),
+    ("tp-witness", 7, 3): ("ac2866dc4dafbf37", 1),
+}
+
+
+def test_draw_digests_cover_every_suite():
+    assert {name for name, _, _ in DRAW_DIGESTS} == set(verify.SUITE_NAMES)
+
+
+@pytest.mark.parametrize("name, trials, seed", sorted(DRAW_DIGESTS))
+def test_suites_make_the_pinned_draws(monkeypatch, name, trials, seed):
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    # kernel_preservation_check seeds its own instance through the same module.
+    monkeypatch.setattr(random, "Random", Recording)
+    assert verify.run_suite(name, trials, seed)["ok"]
+    states = repr([r.getstate() for r in made]).encode()
+    assert (hashlib.sha256(states).hexdigest()[:16], len(made)) == DRAW_DIGESTS[name, trials, seed]
+
+
+def test_tally_counts_failures_per_check_in_first_yield_order():
+    def trial(rng, i):
+        yield "always-holds", True
+        rng.random()
+        yield "one-in-three", i % 3 != 1
+        yield "always-holds", True
+
+    rng = random.Random(0)
+    checks = verify._tally(10, rng, trial)
+    assert [c["check"] for c in checks] == ["always-holds", "one-in-three"]
+    assert checks[0] == {"check": "always-holds", "passed": True,
+                         "details": {"trials": 10, "failures": 0}}
+    assert checks[1] == {"check": "one-in-three", "passed": False,
+                         "details": {"trials": 10, "failures": 3}}
+    reference = random.Random(0)
+    for _ in range(10):
+        reference.random()
+    assert rng.getstate() == reference.getstate()
