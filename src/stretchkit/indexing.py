@@ -177,7 +177,7 @@ def class_grid(rows, cols) -> tuple:
     which is (rows[i], cols[j]) of a row-major class grid of ``size`` cells.
 
     A partition's ``class_of_position`` folds an axis by class, ``range(n)``
-    keeps it and ``(0,)`` stands for a vector's single row or column.
+    keeps it and ``(0,)`` stands for a vector's single column.
     """
     width = max(cols) + 1
     return [r * width + c for r in rows for c in cols], (max(rows) + 1) * width

@@ -87,18 +87,24 @@ def square_matrix(kind, n, pairs, labels=None) -> DenseMatrix:
                    col_labels=labels)._fill(kind, n * n, pairs)
 
 
-class DenseVector(Entries):
-    """Immutable vector sharing the matrix conventions."""
+class DenseVector(DenseMatrix):
+    """Immutable vector: the one-column matrix, labelled by its rows."""
 
-    __slots__ = ("n", "labels")
-    _shape = attrgetter("n")
+    __slots__ = ()
+    n = property(attrgetter("n_rows"))
+    labels = property(attrgetter("row_labels"))
 
     def __init__(self, kind, n, data, labels=None):
         if n < 1:
             raise DimensionError("vector length must be positive")
-        self._fill_dense(kind, n, data)
-        self.n = n
-        self.labels = _labels(labels, n, "labels")
+        super().__init__(kind, n, 1, data)
+        self.row_labels = _labels(labels, n, "labels")
+
+    @classmethod
+    def from_rows(cls, *args, **kwargs):
+        raise DimensionError("a DenseVector is built as DenseVector(kind, n, data)")
+
+    identity = from_rows
 
     def __repr__(self):
         return f"DenseVector({self.kind}, n={self.n})"
@@ -107,6 +113,13 @@ class DenseVector(Entries):
 def require_same_kind(a, b):
     if a.kind != b.kind:
         raise VariantError(f"mixed scalar kinds: {a.kind} vs {b.kind}")
+
+
+def require_type(obj, cls):
+    """Refuse an operand that is not exactly a ``cls``: a vector has the shape
+    of a 1 x 1 matrix or tensor, so only its type tells the two apart."""
+    if type(obj) is not cls:
+        raise DimensionError(f"{type(obj).__name__} passed where a {cls.__name__} belongs")
 
 
 def product(a, b, n, k, m):
@@ -125,21 +138,20 @@ def product(a, b, n, k, m):
 
 
 def mat_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Standard matrix product; exact whenever both operands are exact."""
+    """Standard matrix product, of the type of ``b``: a vector when ``b`` is
+    one; exact whenever both operands are exact."""
     require_same_kind(a, b)
     if a.n_cols != b.n_rows:
         raise DimensionError(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
     n, m = a.n_rows, b.n_cols
-    return stored(DenseMatrix, a.kind, product(a._k, b._k, n, a.n_cols, m), n_rows=n,
+    return stored(type(b), a.kind, product(a._k, b._k, n, a.n_cols, m), n_rows=n,
                   n_cols=m, row_labels=a.row_labels, col_labels=b.col_labels)
 
 
 def mat_vec(a: DenseMatrix, v: DenseVector) -> DenseVector:
-    require_same_kind(a, v)
-    if a.n_cols != v.n:
-        raise DimensionError(f"cannot apply {a.n_rows}x{a.n_cols} to vector of length {v.n}")
-    return stored(DenseVector, a.kind, product(a._k, v._k, a.n_rows, v.n, 1), n=a.n_rows,
-                  labels=a.row_labels)
+    """:func:`mat_mul` of a matrix and a vector."""
+    require_type(v, DenseVector)
+    return mat_mul(a, v)
 
 
 def kron_k(a, b, p, r, q, s):

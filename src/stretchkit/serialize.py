@@ -21,6 +21,7 @@ import re
 import sys
 from cmath import isfinite
 from fractions import Fraction
+from itertools import product
 
 from .errors import DomainError, ParseError, VariantError
 from .indexing import IndexMap, IndexSet
@@ -206,17 +207,18 @@ def index_map_from_json(obj, domain: IndexSet | None = None,
     raise ParseError(f"{path}.kind: unknown map kind {kind!r}")
 
 
+_FIELDS = {Tensor: ("row", "col"), TensorVector: ("point",)}
+
+
 def tensor_to_json(t: Tensor) -> dict:
-    n = t.size
-    entries = []
-    for i, pi in enumerate(t.domain.points):
-        for j, pj in enumerate(t.domain.points):
-            v = t.data[i * n + j]
-            if v:
-                entries.append({"row": list(pi), "col": list(pj),
-                                "value": scalar_to_json(v, t.kind)})
-    return {"index_set": index_set_to_json(t.domain), "scalar": t.kind,
-            "entries": entries}
+    """Payload of a tensor or vector: each nonzero entry in canonical order,
+    its points under the field names of the type.  Entries at one point share
+    that point's list."""
+    fields, kind = _FIELDS[type(t)], t.kind
+    points = [list(p) for p in t.domain.points]
+    entries = [dict(zip(fields, key), value=scalar_to_json(v, kind))
+               for key, v in zip(product(points, repeat=len(fields)), t.data) if v]
+    return {"index_set": index_set_to_json(t.domain), "scalar": kind, "entries": entries}
 
 
 def _pair_key(entry):
@@ -228,31 +230,21 @@ def _pair_key(entry):
     return _point(entry, "row"), _point(entry, "col")
 
 
-def _point_key(entry):
-    """``(point,)`` of a vector entry; raises naming the failing field."""
-    if type(entry) is dict:
-        point = entry.get("point")
-        if type(point) is list and _INT.issuperset(map(type, point)):
-            return (tuple(point),)
-    return (_point(entry, "point"),)
-
-
 def _point(entry, name):
     """Field ``name`` of an entry as a point, through the checks whose
     messages are relative to the entry."""
     return tuple(_int_list(_require(entry, name, ""), f".{name}"))
 
 
-_KEY_OF = {("row", "col"): _pair_key, ("point",): _point_key}
-
-
-def _entries(obj, fields, path):
-    """Domain, kind and ``{(point, ...): value}`` of a tensor or vector
-    payload, one point per name in ``fields``; a repeated key is an error."""
+def _from_json(obj, cls, path):
+    """The tensor or vector, as ``cls`` says, of a payload whose entries name
+    their points by the fields of ``cls``; a repeated key is an error."""
+    fields = _FIELDS[cls]
+    # A vector has |A| entries, not |A|^2: its points take the checked path.
+    key_of = _pair_key if cls is Tensor else lambda entry: (_point(entry, "point"),)
     domain = index_set_from_json(_require(obj, "index_set", path), f"{path}.index_set")
     kind = _kind(obj, path)
-    key_of, memo = _KEY_OF[fields], {}
-    entries = {}
+    memo, entries = {}, {}
     for i, entry in enumerate(_require(obj, "entries", path, list)):
         try:
             key = key_of(entry)  # a dict from here on
@@ -265,7 +257,11 @@ def _entries(obj, fields, path):
             raise ParseError(f"{path}.entries[{i}]: repeats " + ", ".join(
                 f"{name} {list(point)}" for name, point in zip(fields, key)))
         entries[key] = value
-    return domain, kind, entries
+    try:  # a vector's entries are keyed by their point alone
+        return cls.from_entries(domain, kind, entries if cls is Tensor else
+                                {p: v for (p,), v in entries.items()})
+    except DomainError as exc:
+        raise _outside(exc, domain, entries, fields, path) from None
 
 
 def _outside(exc, domain, entries, fields, path):
@@ -278,28 +274,15 @@ def _outside(exc, domain, entries, fields, path):
 
 
 def tensor_from_json(obj, path: str = "tensor") -> Tensor:
-    domain, kind, entries = _entries(obj, ("row", "col"), path)
-    try:
-        return Tensor.from_entries(domain, kind, entries)
-    except DomainError as exc:
-        raise _outside(exc, domain, entries, ("row", "col"), path) from None
+    return _from_json(obj, Tensor, path)
 
 
 def tensor_vector_to_json(x: TensorVector) -> dict:
-    entries = []
-    for i, p in enumerate(x.domain.points):
-        if x.data[i]:
-            entries.append({"point": list(p), "value": scalar_to_json(x.data[i], x.kind)})
-    return {"index_set": index_set_to_json(x.domain), "scalar": x.kind,
-            "entries": entries}
+    return tensor_to_json(x)
 
 
 def tensor_vector_from_json(obj, path: str = "vector") -> TensorVector:
-    domain, kind, entries = _entries(obj, ("point",), path)
-    try:
-        return TensorVector.from_entries(domain, kind, {p: v for (p,), v in entries.items()})
-    except DomainError as exc:
-        raise _outside(exc, domain, entries, ("point",), path) from None
+    return _from_json(obj, TensorVector, path)
 
 
 def jordan_spec_to_json(s: JordanSpec) -> dict:

@@ -23,7 +23,7 @@ def stretch(t: Tensor, fmap: IndexMap) -> DenseMatrix:
     require_domain(fmap, t)
     part = fmap.partition()
     cidx, k = part.class_of_position, len(part)
-    return stored(DenseMatrix, t.kind, fold(t, cidx, cidx), n_rows=k, n_cols=k,
+    return stored(DenseMatrix, t.kind, fold(t, Tensor, cidx, cidx), n_rows=k, n_cols=k,
                   row_labels=part.values, col_labels=part.values)
 
 
@@ -31,8 +31,8 @@ def stretch_vector(x: TensorVector, fmap: IndexMap) -> DenseVector:
     """Stretched vector: the component at F(i) accumulates x over the class."""
     require_domain(fmap, x)
     part = fmap.partition()
-    return stored(DenseVector, x.kind, fold(x, (0,), part.class_of_position), n=len(part),
-                  labels=part.values)
+    return stored(DenseVector, x.kind, fold(x, TensorVector, part.class_of_position, (0,)),
+                  n_rows=len(part), n_cols=1, row_labels=part.values, col_labels=None)
 
 
 def kappa(t: Tensor, fmap: IndexMap):

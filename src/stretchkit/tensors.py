@@ -13,7 +13,7 @@ from operator import attrgetter, mul
 
 from .errors import DimensionError, DomainError, VariantError
 from .indexing import IndexMap, IndexSet, class_fold, class_grid
-from .linalg import kron_k, product, require_same_kind
+from .linalg import kron_k, product, require_same_kind, require_type
 from .scalars import GQ, Entries, coerce, data_close, stored, take, trusted
 
 
@@ -24,8 +24,8 @@ class Tensor(Entries):
     _shape = attrgetter("domain")
 
     def __init__(self, domain: IndexSet, kind, data):
-        self._fill_dense(kind, len(domain) ** 2, data)
         self.domain = domain
+        self._fill_dense(kind, len(domain) * self._cols, data)
 
     @classmethod
     def from_entries(cls, domain, kind, entries) -> "Tensor":
@@ -40,26 +40,24 @@ class Tensor(Entries):
     def size(self) -> int:
         return len(self.domain)
 
+    _cols = size  # columns of the dense layout: |A|, or 1 for a vector
+
     def at(self, pi, pj):
         position = self.domain.position
         return self.data[position(pi) * len(self.domain) + position(pj)]
 
     def at_pos(self, i: int, j: int):
-        return self._cell(i, j, len(self.domain), len(self.domain))
+        return self._cell(i, j, len(self.domain), self._cols)
 
     def __repr__(self):
-        return f"Tensor({self.kind}, |A|={len(self.domain)})"
+        return f"{type(self).__name__}({self.kind}, |A|={len(self.domain)})"
 
 
-class TensorVector(Entries):
-    """Element of C^A: one entry per point of A, in canonical order."""
+class TensorVector(Tensor):
+    """Element of C^A, the one-column tensor: one entry per point, in canonical order."""
 
-    __slots__ = ("domain",)
-    _shape = attrgetter("domain")
-
-    def __init__(self, domain: IndexSet, kind, data):
-        self._fill_dense(kind, len(domain), data)
-        self.domain = domain
+    __slots__ = ()
+    _cols = 1
 
     @classmethod
     def from_entries(cls, domain, kind, entries) -> "TensorVector":
@@ -70,19 +68,10 @@ class TensorVector(Entries):
     def at(self, point):
         return self.data[self.domain.position(point)]
 
-    def __repr__(self):
-        return f"TensorVector({self.kind}, |A|={len(self.domain)})"
-
 
 def require_domain(fmap: IndexMap, obj):
     if fmap.domain != obj.domain:
         raise DomainError(f"index map and {type(obj).__name__} live on different index sets")
-
-
-def _require_compatible(a, b):
-    if a.domain != b.domain:
-        raise DomainError("operands live on different index sets")
-    require_same_kind(a, b)
 
 
 def pure_tensor(factors) -> Tensor:
@@ -113,16 +102,27 @@ def identity_tensor(domain: IndexSet, kind=GQ) -> Tensor:
     return Tensor.from_entries(domain, kind, {(p, p): 1 for p in domain})
 
 
-def fold(obj, rows, cols):
-    """:func:`class_fold` of a tensor's or vector's stored entries on the
-    ``class_grid(rows, cols)``, in the same kernel form; they must fill it."""
+def fold(obj, cls, rows, cols):
+    """:func:`class_fold` of the stored entries of ``obj``, which must be a
+    ``cls``, on the ``class_grid(rows, cols)``, in the same kernel form."""
+    require_type(obj, cls)
     grid = class_grid(rows, cols)
     den, re, im = obj._k
-    if len(re) != len(grid[0]):  # a vector passed for a tensor, or the reverse
-        raise DimensionError(f"{type(obj).__name__} has {len(re)} entries, needs {len(grid[0])}")
     if im is None:
         return 1, class_fold(re, grid, 0j), None
     return den, class_fold(re, grid), class_fold(im, grid)
+
+
+def _times(t: Tensor, x, cls, fmap: IndexMap):
+    """(T P^T)(P X) for X a ``cls``: a tensor's |A| columns or a vector's one."""
+    if t.domain != x.domain:
+        raise DomainError("operands live on different index sets")
+    require_same_kind(t, x)
+    require_domain(fmap, t)
+    part = fmap.partition()
+    n, k, cidx, m = t.size, len(part), part.class_of_position, x._cols
+    out = product(fold(t, Tensor, range(n), cidx), fold(x, cls, cidx, range(m)), n, k, m)
+    return stored(cls, t.kind, out, domain=t.domain)
 
 
 def convolve(t1: Tensor, t2: Tensor, fmap: IndexMap) -> Tensor:
@@ -131,16 +131,12 @@ def convolve(t1: Tensor, t2: Tensor, fmap: IndexMap) -> Tensor:
     The sum over equivalent pairs factorizes through classes: fold the
     columns of t1 and the rows of t2 by class, then multiply (T1 P^T)(P T2).
     """
-    _require_compatible(t1, t2)
-    require_domain(fmap, t1)
-    part = fmap.partition()
-    n, k, cidx = t1.size, len(part), part.class_of_position
-    out = product(fold(t1, range(n), cidx), fold(t2, cidx, range(n)), n, k, n)
-    return stored(Tensor, t1.kind, out, domain=t1.domain)
+    return _times(t1, t2, Tensor, fmap)
 
 
 def star(t: Tensor) -> Tensor:
     """Adjoint: (star T)[i, j] = T[j, i]."""
+    require_type(t, Tensor)
     n = t.size
     order = [j * n + i for i in range(n) for j in range(n)]
     return stored(Tensor, t.kind, take(t._k, order), domain=t.domain)
@@ -148,12 +144,7 @@ def star(t: Tensor) -> Tensor:
 
 def act(t: Tensor, x: TensorVector, fmap: IndexMap) -> TensorVector:
     """Action on vectors: (T * x)[i] = sum over j ~ l of T[i, j] * x[l]."""
-    _require_compatible(t, x)
-    require_domain(fmap, t)
-    part = fmap.partition()
-    n, k, cidx = t.size, len(part), part.class_of_position
-    out = product(fold(t, range(n), cidx), fold(x, cidx, (0,)), n, k, 1)
-    return stored(TensorVector, t.kind, out, domain=t.domain)
+    return _times(t, x, TensorVector, fmap)
 
 
 def average(t: Tensor, fmap: IndexMap, normalized: bool = True) -> Tensor:
@@ -168,7 +159,7 @@ def average(t: Tensor, fmap: IndexMap, normalized: bool = True) -> Tensor:
     require_domain(fmap, t)
     part = fmap.partition()
     cidx, sizes, k = part.class_of_position, part.sizes, len(part)
-    den, re, im = fold(t, cidx, cidx)
+    den, re, im = fold(t, Tensor, cidx, cidx)
     counts = [a * b if normalized else 1 for a in sizes for b in sizes]
     if im is None:
         re = [v / c if v and c > 1 else v for v, c in zip(re, counts)]

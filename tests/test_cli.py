@@ -144,6 +144,24 @@ def test_stretch_vector_outputs_labels(tmp_path, fixtures_dir, capsys):
     assert obj["data"][1] == {"re": "2/1", "im": "0/1"}
 
 
+VECTOR_GOLDENS = {
+    **{f"grid22_vector_{m}_stretched.json": ["stretch-vector", "--vector", "grid22_vector.json",
+                                             "--map", f"map_{m}.json"]
+       for m in ("linear11", "linear1m1", "max", "mixed_radix")},
+    "linear11_AB_act_grid22.json": ["act", "--tensor", "linear11_AB_tensor.json",
+                                    "--vector", "grid22_vector.json",
+                                    "--map", "map_linear11.json"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(VECTOR_GOLDENS))
+def test_vector_commands_write_their_goldens_byte_for_byte(golden, fixtures_dir, capsys):
+    argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in VECTOR_GOLDENS[golden]]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == (fixtures_dir / golden).read_text(encoding="utf-8")
+
+
 def test_permute_matches_stretch_of_reversed_factors(tmp_path, capsys):
     a = DenseMatrix.from_rows([[1, 2], [3, 4]], GQ)
     b = DenseMatrix.from_rows([[0, 1], [5, 9]], GQ)

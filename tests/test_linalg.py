@@ -10,7 +10,7 @@ from stretchkit.linalg import (DenseMatrix, DenseVector, det, inverse, kron,
                                mat_mul, mat_vec, matrices_close,
                                nullity_sequence, permutation_matrix, rank)
 from stretchkit.scalars import CF64, GQ, gq
-from stretchkit.tensors import Tensor, TensorVector
+from stretchkit.tensors import Tensor, TensorVector, pure_tensor
 
 
 def rand_gq_matrix(rng, n, m=None, span=5):
@@ -215,6 +215,44 @@ def test_dense_constructors_check_their_entry_count(name):
         with pytest.raises(DimensionError) as info:
             build([1] * wrong)
         assert str(info.value) == f"{name} needs {count} entries, got {wrong}"
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_vector_operands_act_as_one_column_matrices(n):
+    """A DenseVector operand gives what the equal n x 1 DenseMatrix gives, or
+    a DimensionError; mat_mul's result takes the type of its right operand."""
+    v = DenseVector(GQ, n, [gq(k + 1, k) for k in range(n)], labels=range(n))
+    col = DenseMatrix(GQ, n, 1, v.data, row_labels=range(n))
+    m, row = rand_gq_matrix(random.Random(n), 2, n), DenseMatrix(GQ, 1, 2, [5, 7])
+    cases = {  # the call with the vector, and the same call with the matrix
+        "mat_mul(m, v)": (lambda: mat_mul(m, v), lambda: mat_mul(m, col)),
+        "mat_mul(v, row)": (lambda: mat_mul(v, row), lambda: mat_mul(col, row)),
+        "mat_vec(m, v)": (lambda: mat_vec(m, v), lambda: mat_mul(m, col)),
+        "kron(m, v)": (lambda: kron(m, v), lambda: kron(m, col)),
+        "kron(v, m)": (lambda: kron(v, m), lambda: kron(col, m)),
+        "det(v)": (lambda: det(v), lambda: det(col)),
+        "pure_tensor([v])": (lambda: pure_tensor([v]), lambda: pure_tensor([col])),
+        "v.transpose()": (lambda: v.transpose(), lambda: col.transpose()),
+    }
+    for name, (on_vector, on_matrix) in cases.items():
+        try:
+            want = on_matrix()
+        except DimensionError:
+            with pytest.raises(DimensionError):
+                on_vector()
+            continue
+        got = on_vector()
+        assert getattr(got, "_k", got) == getattr(want, "_k", want), name
+    product = mat_mul(m, v)
+    assert type(product) is DenseVector and (product.n, product.labels) == (2, None)
+    assert type(mat_mul(v, row)) is DenseMatrix
+    with pytest.raises(DimensionError) as info:
+        mat_vec(m, col)
+    assert str(info.value) == "DenseMatrix passed where a DenseVector belongs"
+    for build in (lambda: DenseVector.from_rows([[1]] * n, GQ),
+                  lambda: DenseVector.identity(n, GQ)):
+        with pytest.raises(DimensionError):
+            build()
 
 
 def test_permutation_matrix_moves_basis_vectors():

@@ -1,4 +1,7 @@
 """The package's public surface: every exported name exists, once."""
+import functools
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -47,3 +50,20 @@ NON_INTEGER_ARGUMENTS = {
 def test_constructors_refuse_non_integers(build):
     with pytest.raises(TypeError):
         build()
+
+
+def test_each_traced_name_is_a_distinct_function_of_its_module():
+    """The benchmark's tracer wraps every binding of each traced function, so
+    each (module, function) must be a function defined in that module, and no
+    two names one object: an alias such as ``g = f`` would count each call to
+    ``f`` in two spans."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("traced_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    seen = {}
+    for module, name in spans.TRACED:
+        mod = importlib.import_module(f"stretchkit.{module}")
+        func = functools.reduce(getattr, name.split("."), mod)
+        assert inspect.isfunction(func) and func.__module__ == mod.__name__, (module, name)
+        assert seen.setdefault(func, (module, name)) == (module, name), (module, name)

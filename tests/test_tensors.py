@@ -288,8 +288,8 @@ def test_domain_and_kind_mismatches_raise():
         act(identity_tensor(other, GQ), TensorVector(other, GQ, [0] * len(other)), f)
 
 
-VECTOR_FOR_TENSOR = "TensorVector has 4 entries, needs 16"
-TENSOR_FOR_VECTOR = "Tensor has 16 entries, needs 4"
+VECTOR_FOR_TENSOR = "TensorVector passed where a Tensor belongs"
+TENSOR_FOR_VECTOR = "Tensor passed where a TensorVector belongs"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -298,14 +298,17 @@ TENSOR_FOR_VECTOR = "Tensor has 16 entries, needs 4"
     (lambda t, x, f: convolve(t, x, f), VECTOR_FOR_TENSOR),
     (lambda t, x, f: act(t, t, f), TENSOR_FOR_VECTOR),
     (lambda t, x, f: average(x, f), VECTOR_FOR_TENSOR),
-], ids=["stretch", "stretch_vector", "convolve", "act", "average"])
+    (lambda t, x, f: star(x), VECTOR_FOR_TENSOR),
+], ids=["stretch", "stretch_vector", "convolve", "act", "average", "star"])
 def test_wrong_shape_operands_raise(call, message):
+    # On the one-point domain a tensor and a vector both hold one entry, so
+    # only the operand's type can tell them apart.
     rng = random.Random(5)
-    dom = IndexSet.rectangular((2, 2))
-    t, x = rand_tensor(rng, dom), rand_tensor_vector(rng, dom)
-    with pytest.raises(DimensionError) as info:
-        call(t, x, IndexMap.max_coord(dom))
-    assert str(info.value) == message
+    for dom in (IndexSet.rectangular((2, 2)), IndexSet.rectangular((1,))):
+        t, x = rand_tensor(rng, dom), rand_tensor_vector(rng, dom)
+        with pytest.raises(DimensionError) as info:
+            call(t, x, IndexMap.max_coord(dom))
+        assert str(info.value) == message
 
 
 def test_from_entries_coerces_each_given_entry_once(monkeypatch):
