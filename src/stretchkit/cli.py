@@ -151,8 +151,7 @@ def _pretty(obj) -> str:
     if isinstance(obj, dict) and {"rows", "cols", "data"} <= obj.keys():
         return _pretty_matrix(obj)
     if isinstance(obj, dict) and "blocks" in obj:
-        parts = [f"J{b['size']}({b['eigenvalue']['re']}+{b['eigenvalue']['im']}i)"
-                 for b in obj["blocks"]]
+        parts = [f"J{b['size']}({_cell(b['eigenvalue'], GQ)})" for b in obj["blocks"]]
         return " + ".join(parts) + "\n"
     if isinstance(obj, dict) and "checks" in obj:
         lines = [f"suite {obj['suite']} (seed {obj['seed']}, trials {obj['trials']})"]

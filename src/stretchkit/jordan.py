@@ -16,8 +16,9 @@ from __future__ import annotations
 from functools import reduce
 from operator import index
 
-from .errors import DimensionError, DomainError, VariantError
-from .linalg import DenseMatrix, gauss_rows, kron, power_nullities, square_matrix
+from .errors import DimensionError, DomainError
+from .linalg import (DenseMatrix, gauss_rows, kron, power_nullities, require_matrices,
+                     square_matrix)
 from .scalars import GQ, GaussianRational, coerce, gq, trusted
 
 
@@ -209,10 +210,7 @@ def jordan_oracle(m: DenseMatrix, eigenvalues) -> JordanOracleResult:
     at least k.  The supplied eigenvalue set must exhaust the spectrum, which
     is checked by dimension accounting.
     """
-    if m.kind != GQ:
-        raise VariantError("the Jordan oracle requires exact ('gq') matrices")
-    if not m.is_square:
-        raise DimensionError("the Jordan oracle requires a square matrix")
+    require_matrices(m, what="the Jordan oracle", exact=True, square=True)
     n, rows = m.n_rows, gauss_rows(m._k, m.n_cols)
     eigs = sorted({coerce(e, GQ) for e in eigenvalues}, key=_eig_key)
     eigen_data = []

@@ -57,10 +57,6 @@ class DenseMatrix(Entries):
     def identity(cls, n, kind):
         return permutation_matrix(range(n), kind)
 
-    @property
-    def is_square(self):
-        return self.n_rows == self.n_cols
-
     def at(self, i, j):
         return self._cell(i, j, self.n_rows, self.n_cols)
 
@@ -122,6 +118,21 @@ def require_type(obj, cls):
         raise DimensionError(f"{type(obj).__name__} passed where a {cls.__name__} belongs")
 
 
+def require_matrices(*ms, what=None, exact=False, square=False):
+    """The operand rule of the matrix kernels, checked before any is read: each
+    of ``ms`` is a DenseMatrix (a DenseVector is its one-column case), all share
+    one kind and, if asked, are exact and square; ``what`` names the kernel."""
+    for m in ms:
+        if not isinstance(m, DenseMatrix):
+            require_type(m, DenseMatrix)
+    for m in ms[1:]:
+        require_same_kind(ms[0], m)
+    if exact and ms[0].kind != GQ:
+        raise VariantError(f"{what} requires exact ('gq') entries")
+    if square and any(m.n_rows != m.n_cols for m in ms):
+        raise DimensionError(f"{what} requires a square matrix")
+
+
 def product(a, b, n, k, m):
     """Kernel-form product of an n x k and a k x m row-major array (Gaussian
     for exact data), not reduced to canonical form."""
@@ -140,7 +151,7 @@ def product(a, b, n, k, m):
 def mat_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Standard matrix product, of the type of ``b``: a vector when ``b`` is
     one; exact whenever both operands are exact."""
-    require_same_kind(a, b)
+    require_matrices(a, b)
     if a.n_cols != b.n_rows:
         raise DimensionError(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
     n, m = a.n_rows, b.n_cols
@@ -175,7 +186,7 @@ def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     mixed-radix map; in particular kron(B, I_k) is block-diagonal
     diag(B, ..., B) while kron(I_k, B) interleaves B at stride k.
     """
-    require_same_kind(a, b)
+    require_matrices(a, b)
     p, r, q, s = a.n_rows, a.n_cols, b.n_rows, b.n_cols
     return stored(DenseMatrix, a.kind, kron_k(a._k, b._k, p, r, q, s), n_rows=p * q,
                   n_cols=r * s, row_labels=None, col_labels=None)
@@ -242,8 +253,7 @@ def _lu(m: DenseMatrix, above):
 
 def det(a: DenseMatrix):
     """Determinant; exact for 'gq' matrices."""
-    if not a.is_square:
-        raise DimensionError("determinant requires a square matrix")
+    require_matrices(a, what="determinant", square=True)
     if a.kind != GQ:
         return _lu(a, False)[0]
     sign, pr, pi, _ = _bareiss(a, False)
@@ -333,8 +343,7 @@ def _rank_gauss(rows) -> int:
 
 def rank(a: DenseMatrix) -> int:
     """Exact rank; only defined for 'gq' matrices."""
-    if a.kind != GQ:
-        raise VariantError("rank requires exact ('gq') entries")
+    require_matrices(a, what="rank", exact=True)
     return _rank_gauss(gauss_rows(a._k, a.n_cols))
 
 
@@ -373,10 +382,7 @@ def power_nullities(rows, den, lam):
 
 def nullity_sequence(a: DenseMatrix, lam, k_max: int):
     """[nullity((a - lam*I)^k)] for k = 1..k_max; exact, 'gq' only."""
-    if a.kind != GQ:
-        raise VariantError("nullity_sequence requires exact ('gq') entries")
-    if not a.is_square:
-        raise DimensionError("nullity_sequence requires a square matrix")
+    require_matrices(a, what="nullity_sequence", exact=True, square=True)
     if k_max < 1:
         raise DimensionError("k_max must be at least 1")
     nullities = power_nullities(gauss_rows(a._k, a.n_cols), a._k[0], coerce(lam, GQ))
@@ -385,8 +391,7 @@ def nullity_sequence(a: DenseMatrix, lam, k_max: int):
 
 def inverse(a: DenseMatrix) -> DenseMatrix:
     """Gauss-Jordan inverse, exact for 'gq' matrices; the labels swap sides."""
-    if not a.is_square:
-        raise DimensionError("inverse requires a square matrix")
+    require_matrices(a, what="inverse", square=True)
     n = a.n_rows
     if a.kind != GQ:
         _, rows = _lu(a, True)

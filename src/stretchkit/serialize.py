@@ -296,13 +296,12 @@ def jordan_spec_from_json(obj, path: str = "spec") -> JordanSpec:
     for i, block in enumerate(_require(obj, "blocks", path, list)):
         size = _require(block, "size", f"{path}.blocks[{i}]", int)
         raw = _require(block, "eigenvalue", f"{path}.blocks[{i}]")
-        if isinstance(raw, dict) and isinstance(raw.get("re"), (int, float)) \
-                and not isinstance(raw.get("re"), bool):
-            # Float eigenvalues are a scalar-variant violation, not a syntax
-            # error: Jordan structure is discontinuous in the eigenvalue.
-            raise VariantError(
-                f"{path}.blocks[{i}].eigenvalue: Jordan eigenvalues must be "
-                "exact fraction strings, not floats")
+        parts = (raw.get("re"), raw.get("im")) if isinstance(raw, dict) else ()
+        if any(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+            # A JSON number in either part is a scalar-variant violation, not
+            # a syntax error: Jordan structure is discontinuous in the eigenvalue.
+            raise VariantError(f"{path}.blocks[{i}].eigenvalue: Jordan eigenvalues must be "
+                               "exact fraction strings, not numbers")
         eig = scalar_from_json(raw, GQ, f"{path}.blocks[{i}].eigenvalue")
         blocks.append((size, eig))
     try:

@@ -23,15 +23,15 @@ def stretch(t: Tensor, fmap: IndexMap) -> DenseMatrix:
     require_domain(fmap, t)
     part = fmap.partition()
     cidx, k = part.class_of_position, len(part)
-    return stored(DenseMatrix, t.kind, fold(t, Tensor, cidx, cidx), n_rows=k, n_cols=k,
+    return stored(DenseMatrix, t.kind, fold(t, cidx, cidx), n_rows=k, n_cols=k,
                   row_labels=part.values, col_labels=part.values)
 
 
 def stretch_vector(x: TensorVector, fmap: IndexMap) -> DenseVector:
     """Stretched vector: the component at F(i) accumulates x over the class."""
-    require_domain(fmap, x)
+    require_domain(fmap, x, TensorVector)
     part = fmap.partition()
-    return stored(DenseVector, x.kind, fold(x, TensorVector, part.class_of_position, (0,)),
+    return stored(DenseVector, x.kind, fold(x, part.class_of_position, (0,)),
                   n_rows=len(part), n_cols=1, row_labels=part.values, col_labels=None)
 
 
@@ -107,7 +107,8 @@ def check_tp_witness(fmap: IndexMap, witness: SimilarityWitness) -> bool:
     tp = IndexMap.mixed_radix(domain)
     u = witness.matrix
     n = len(domain)
-    if not (fmap.is_injective() and u.kind == GQ and (u.n_rows, u.n_cols) == (n, n)):
+    if not (isinstance(u, DenseMatrix) and fmap.is_injective() and u.kind == GQ
+            and (u.n_rows, u.n_cols) == (n, n)):
         return False
     den, re, im = u._k
     ones = [p for p, (x, y) in enumerate(zip(re, im)) if x or y]  # row-major

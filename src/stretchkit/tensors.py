@@ -11,9 +11,9 @@ from __future__ import annotations
 from math import lcm
 from operator import attrgetter, mul
 
-from .errors import DimensionError, DomainError, VariantError
+from .errors import DomainError
 from .indexing import IndexMap, IndexSet, class_fold, class_grid
-from .linalg import kron_k, product, require_same_kind, require_type
+from .linalg import kron_k, product, require_matrices, require_same_kind, require_type
 from .scalars import GQ, Entries, coerce, data_close, stored, take, trusted
 
 
@@ -69,7 +69,10 @@ class TensorVector(Tensor):
         return self.data[self.domain.position(point)]
 
 
-def require_domain(fmap: IndexMap, obj):
+def require_domain(fmap: IndexMap, obj, cls=Tensor):
+    """The operand rule of the tensor kernels: ``obj`` is exactly a ``cls`` (see
+    :func:`require_type`), and only then on the index set of ``fmap``."""
+    require_type(obj, cls)
     if fmap.domain != obj.domain:
         raise DomainError(f"index map and {type(obj).__name__} live on different index sets")
 
@@ -84,17 +87,12 @@ def pure_tensor(factors) -> Tensor:
     factors = list(factors)
     if not factors:
         raise DomainError("pure_tensor needs at least one factor")
-    kind = factors[0].kind
-    for f in factors:
-        if f.kind != kind:
-            raise VariantError("pure_tensor factors must share one scalar kind")
-        if not f.is_square:
-            raise DimensionError("pure_tensor factors must be square")
+    require_matrices(*factors, what="pure_tensor", square=True)
     dims = tuple(f.n_rows for f in factors)
     k, n = factors[0]._k, dims[0]
     for f in factors[1:]:
         k, n = kron_k(k, f._k, n, n, f.n_rows, f.n_rows), n * f.n_rows
-    return stored(Tensor, kind, k, domain=IndexSet.rectangular(dims))
+    return stored(Tensor, factors[0].kind, k, domain=IndexSet.rectangular(dims))
 
 
 def identity_tensor(domain: IndexSet, kind=GQ) -> Tensor:
@@ -102,10 +100,9 @@ def identity_tensor(domain: IndexSet, kind=GQ) -> Tensor:
     return Tensor.from_entries(domain, kind, {(p, p): 1 for p in domain})
 
 
-def fold(obj, cls, rows, cols):
-    """:func:`class_fold` of the stored entries of ``obj``, which must be a
-    ``cls``, on the ``class_grid(rows, cols)``, in the same kernel form."""
-    require_type(obj, cls)
+def fold(obj, rows, cols):
+    """:func:`class_fold` of the stored entries of ``obj``, checked by the caller,
+    on the ``class_grid(rows, cols)``, in the same kernel form."""
     grid = class_grid(rows, cols)
     den, re, im = obj._k
     if im is None:
@@ -115,13 +112,14 @@ def fold(obj, cls, rows, cols):
 
 def _times(t: Tensor, x, cls, fmap: IndexMap):
     """(T P^T)(P X) for X a ``cls``: a tensor's |A| columns or a vector's one."""
+    require_type(x, cls)
+    require_domain(fmap, t)  # passes in the CLI, which reads the map on t's domain
     if t.domain != x.domain:
         raise DomainError("operands live on different index sets")
     require_same_kind(t, x)
-    require_domain(fmap, t)
     part = fmap.partition()
     n, k, cidx, m = t.size, len(part), part.class_of_position, x._cols
-    out = product(fold(t, Tensor, range(n), cidx), fold(x, cls, cidx, range(m)), n, k, m)
+    out = product(fold(t, range(n), cidx), fold(x, cidx, range(m)), n, k, m)
     return stored(cls, t.kind, out, domain=t.domain)
 
 
@@ -159,7 +157,7 @@ def average(t: Tensor, fmap: IndexMap, normalized: bool = True) -> Tensor:
     require_domain(fmap, t)
     part = fmap.partition()
     cidx, sizes, k = part.class_of_position, part.sizes, len(part)
-    den, re, im = fold(t, Tensor, cidx, cidx)
+    den, re, im = fold(t, cidx, cidx)
     counts = [a * b if normalized else 1 for a in sizes for b in sizes]
     if im is None:
         re = [v / c if v and c > 1 else v for v, c in zip(re, counts)]

@@ -226,11 +226,30 @@ def test_jordan_verify_certifies_a_five_fold_product(tmp_path, capsys):
 
 
 def test_jordan_float_eigenvalue_exits_5(tmp_path, capsys):
-    bad = write_json(tmp_path, "bad.json", [
-        {"blocks": [{"size": 2, "eigenvalue": {"re": 0.5, "im": 0.0}}]}])
-    code, _, err = run_cli(["jordan", "--spec", bad, "--verify"], capsys)
-    assert code == 5
-    assert "exact" in err
+    # A JSON number in either part of an eigenvalue, an int as well as a float.
+    for eigenvalue in ({"re": 0.5, "im": 0.0}, {"re": "1/1", "im": 0.5},
+                       {"re": 1.5, "im": "0/1"}, {"re": 2, "im": "0/1"}):
+        bad = write_json(tmp_path, "bad.json", [
+            {"blocks": [{"size": 2, "eigenvalue": eigenvalue}]}])
+        code, _, err = run_cli(["jordan", "--spec", bad, "--verify"], capsys)
+        assert code == 5
+        assert "exact" in err
+        assert err == ("scalar variant error: specs[0].blocks[0].eigenvalue: Jordan "
+                       "eigenvalues must be exact fraction strings, not numbers\n")
+
+
+def test_jordan_pretty_writes_eigenvalues_as_matrix_cells(tmp_path, capsys):
+    one = {"re": "1/1", "im": "0/1"}
+    cases = [  # (blocks, stdout)
+        ([{"size": 2, "eigenvalue": {"re": "1/1", "im": "-2/1"}},
+          {"size": 1, "eigenvalue": {"re": "6/1", "im": "0/1"}}], "J2((1-2i)) + J1(6)\n"),
+        ([{"size": 3, "eigenvalue": {"re": "6/1", "im": "0/1"}},
+          {"size": 1, "eigenvalue": {"re": "-1/2", "im": "0/1"}}], "J1(-1/2) + J3(6)\n"),
+    ]
+    for blocks, want in cases:
+        specs = write_json(tmp_path, "specs.json", [{"blocks": blocks},
+                                                    {"blocks": [{"size": 1, "eigenvalue": one}]}])
+        assert run_cli(["jordan", "--spec", specs, "--pretty"], capsys) == (0, want, "")
 
 
 def test_tp_witness_command(tmp_path, capsys):

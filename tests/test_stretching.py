@@ -308,6 +308,9 @@ def test_tp_witness_guard_rejects_each_bad_input_alone():
     assert check_tp_witness(f, SimilarityWitness(good.perm, float_u)) is False
     wide = DenseMatrix(GQ, 2, 8, good.matrix.data)
     assert check_tp_witness(f, SimilarityWitness(good.perm, wide)) is False
+    # So does a witness "matrix" from the tensor side of the stretch.
+    tensor_u = Tensor(IndexSet.rectangular((4,)), GQ, good.matrix.data)
+    assert check_tp_witness(f, SimilarityWitness(good.perm, tensor_u)) is False
 
 
 def test_similarity_witness_equality():

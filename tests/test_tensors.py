@@ -5,9 +5,11 @@ import pytest
 from stretchkit import tensors
 from stretchkit.errors import DimensionError, DomainError, VariantError
 from stretchkit.indexing import IndexMap, IndexSet
-from stretchkit.linalg import DenseMatrix, mat_mul
+from stretchkit.jordan import jordan_oracle
+from stretchkit.linalg import (DenseMatrix, DenseVector, det, inverse, kron, mat_mul,
+                               mat_vec, nullity_sequence, rank)
 from stretchkit.scalars import CF64, GQ, coerce, gq
-from stretchkit.stretching import stretch, stretch_vector
+from stretchkit.stretching import kappa, stretch, stretch_vector
 from stretchkit.tensors import (Tensor, TensorVector, act, average, convolve,
                                 identity_tensor, pure_tensor, star)
 from stretchkit.verify import (rand_map, rand_matrix, rand_rect_set,
@@ -290,6 +292,19 @@ def test_domain_and_kind_mismatches_raise():
 
 VECTOR_FOR_TENSOR = "TensorVector passed where a Tensor belongs"
 TENSOR_FOR_VECTOR = "Tensor passed where a TensorVector belongs"
+MATRIX_FOR_TENSOR = "DenseMatrix passed where a Tensor belongs"
+DENSE_VECTOR_FOR_VECTOR = "DenseVector passed where a TensorVector belongs"
+TENSOR_FOR_MATRIX = "Tensor passed where a DenseMatrix belongs"
+VECTOR_FOR_MATRIX = "TensorVector passed where a DenseMatrix belongs"
+
+
+def matrix_of(t):
+    """The |A| x |A| DenseMatrix holding the entries of tensor ``t``."""
+    return DenseMatrix(t.kind, t.size, t.size, t.data)
+
+
+def dense_vector_of(x):
+    return DenseVector(x.kind, x.size, x.data)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -299,10 +314,36 @@ TENSOR_FOR_VECTOR = "Tensor passed where a TensorVector belongs"
     (lambda t, x, f: act(t, t, f), TENSOR_FOR_VECTOR),
     (lambda t, x, f: average(x, f), VECTOR_FOR_TENSOR),
     (lambda t, x, f: star(x), VECTOR_FOR_TENSOR),
-], ids=["stretch", "stretch_vector", "convolve", "act", "average", "star"])
+    # An operand from the other side of the stretch.
+    (lambda t, x, f: stretch(matrix_of(t), f), MATRIX_FOR_TENSOR),
+    (lambda t, x, f: stretch_vector(dense_vector_of(x), f), DENSE_VECTOR_FOR_VECTOR),
+    (lambda t, x, f: convolve(matrix_of(t), t, f), MATRIX_FOR_TENSOR),
+    (lambda t, x, f: convolve(t, matrix_of(t), f), MATRIX_FOR_TENSOR),
+    (lambda t, x, f: act(matrix_of(t), x, f), MATRIX_FOR_TENSOR),
+    (lambda t, x, f: act(t, dense_vector_of(x), f), DENSE_VECTOR_FOR_VECTOR),
+    (lambda t, x, f: average(matrix_of(t), f), MATRIX_FOR_TENSOR),
+    (lambda t, x, f: kappa(matrix_of(t), f), MATRIX_FOR_TENSOR),
+    (lambda t, x, f: star(matrix_of(t)), MATRIX_FOR_TENSOR),
+    (lambda t, x, f: mat_mul(matrix_of(t), t), TENSOR_FOR_MATRIX),
+    (lambda t, x, f: mat_mul(t, matrix_of(t)), TENSOR_FOR_MATRIX),
+    (lambda t, x, f: mat_vec(t, dense_vector_of(x)), TENSOR_FOR_MATRIX),
+    (lambda t, x, f: kron(x, matrix_of(t)), VECTOR_FOR_MATRIX),
+    (lambda t, x, f: det(t), TENSOR_FOR_MATRIX),
+    (lambda t, x, f: inverse(t), TENSOR_FOR_MATRIX),
+    (lambda t, x, f: rank(t), TENSOR_FOR_MATRIX),
+    (lambda t, x, f: nullity_sequence(x, 0, 1), VECTOR_FOR_MATRIX),
+    (lambda t, x, f: jordan_oracle(t, [0]), TENSOR_FOR_MATRIX),
+    (lambda t, x, f: pure_tensor([matrix_of(t), t]), TENSOR_FOR_MATRIX),
+], ids=["stretch", "stretch_vector", "convolve", "act", "average", "star",
+        "stretch-matrix", "stretch_vector-dense-vector", "convolve-matrix-left",
+        "convolve-matrix-right", "act-matrix", "act-dense-vector", "average-matrix",
+        "kappa-matrix", "star-matrix", "mat_mul-tensor-right", "mat_mul-tensor-left",
+        "mat_vec-tensor", "kron-vector", "det-tensor", "inverse-tensor", "rank-tensor",
+        "nullity_sequence-vector", "jordan_oracle-tensor", "pure_tensor-tensor"])
 def test_wrong_shape_operands_raise(call, message):
     # On the one-point domain a tensor and a vector both hold one entry, so
-    # only the operand's type can tell them apart.
+    # only the operand's type can tell them apart; a matrix kernel is given
+    # the same operands as a tensor kernel would be, and refuses them by type.
     rng = random.Random(5)
     for dom in (IndexSet.rectangular((2, 2)), IndexSet.rectangular((1,))):
         t, x = rand_tensor(rng, dom), rand_tensor_vector(rng, dom)
