@@ -170,6 +170,16 @@ def _files():
             {"point": list(p), "value": 0} for p in _points(DOMAINS["g22"][0])]},
         "map-explicit": {"kind": "table", "index_set": DOMAINS["x4"][0], "pairs": [
             {"point": list(p), "value": i} for i, p in enumerate(_points(DOMAINS["x4"][0]))]},
+        # Finite cf64 input whose convolution or class sum overflows.
+        "overflow": {"index_set": {"kind": "rectangular", "dims": [2]}, "scalar": "cf64",
+                     "entries": [{"row": [i], "col": [j], "value": {"re": 1e300, "im": 0}}
+                                 for i in range(2) for j in range(2)]},
+        "sum-overflow": {"index_set": {"kind": "rectangular", "dims": [2]}, "scalar": "cf64",
+                         "entries": [{"row": [i], "col": [i], "value": {"re": 1e308, "im": 0}}
+                                     for i in range(2)]},
+        "map-k1": {"kind": "linear", "k": [1]},
+        "map-one-class": {"kind": "table", "pairs": [{"point": [i], "value": 0}
+                                                     for i in range(2)]},
     }
     payloads.update({f"bad-{k}": v for k, v in bad.items()})
     files.update({f"{k}.json": json.dumps(v, sort_keys=True) for k, v in payloads.items()})
@@ -256,6 +266,9 @@ def commands():
         ["verify", "jordan", "--trials", "-1"],
         ["stretch", "--tensor", "g22-gq-t.json", "--map", "g22-max.json", "--out",
          "missing-dir/out.json"],
+        ["convolve", "--left", "bad-overflow.json", "--right", "bad-overflow.json", "--map",
+         "bad-map-k1.json"],
+        ["stretch", "--tensor", "bad-sum-overflow.json", "--map", "bad-map-one-class.json"],
     ]
     for bad in ("bad-fraction", "float-in-gq", "repeat", "outside", "no-scalar", "bad-kind",
                 "bool-dims", "bad-set", "nan", "inf", "huge-exact", "truncated", "empty",
@@ -272,10 +285,12 @@ def commands():
     outs = [["stretch", "--tensor", "g22-gq-t.json", "--map", "g22-max.json", "--out",
              "out.json"],
             ["jordan", "--spec", "spec-complex.json", "--pretty", "--out", "out.json"],
-            ["verify", "kappa", "--trials", "2", "--seed", "4", "--out", "out.json"]]
+            ["verify", "kappa", "--trials", "2", "--seed", "4", "--out", "out.json"],
+            ["stretch", "--tensor", "bad-sum-overflow.json", "--map", "bad-map-one-class.json",
+             "--out", "out.json"]]
     argparse_runs = [["--help"], [], ["nosuch"], ["stretch"], ["stretch", "--tensor"],
                      ["verify", "kappa", "--trials", "x"], ["jordan", "--spec", "a", "--bogus"]]
-    argparse_runs += [[name, "--help"] for name in (*cli._TENSOR_COMMANDS, *cli._OTHER_COMMANDS)]
+    argparse_runs += [[name, "--help"] for name in cli._COMMANDS]
     runs = [(argv, None, None) for argv in plain + errors + pretty + outs + argparse_runs]
     for seed in ("7", "abc", "", "1.5"):
         for extra in ([], ["--pretty"]):

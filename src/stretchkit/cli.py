@@ -40,66 +40,93 @@ def _default_seed() -> int:
         raise ParseError(f"STRETCHKIT_SEED must be an integer, got {text!r}") from None
 
 
-# Each tensor command: help, operand flags (loaded in order), an extra flag or
-# None, and a lambda from (args, *operands, map) to the output JSON.  Lambdas
-# look library functions up per call, so functions a tracer swaps are seen.
-_TENSOR_COMMANDS = {
-    "stretch": ("stretch a tensor to a labelled matrix", ("tensor",), None,
-                lambda args, t, m: sz.matrix_to_json(stretch(t, m))),
-    "stretch-vector": ("stretch a vector", ("vector",), None,
-                       lambda args, v, m: sz.vector_to_json(stretch_vector(v, m))),
-    "convolve": ("convolution product of two tensors", ("left", "right"), None,
-                 lambda args, a, b, m: sz.tensor_to_json(convolve(a, b, m))),
-    "act": ("act with a tensor on a vector", ("tensor", "vector"), None,
-            lambda args, t, v, m: sz.tensor_vector_to_json(act(t, v, m))),
-    "average": ("class-averaging of a tensor", ("tensor",), "raw",
-                lambda args, t, m: sz.tensor_to_json(average(t, m, normalized=not args.raw))),
-    "kappa": ("determinant of the stretched matrix", ("tensor",), None,
-              lambda args, t, m: {"scalar": t.kind,
-                                  "value": sz.scalar_to_json(kappa(t, m), t.kind)}),
-    "permute": ("stretch through a permuted map", ("tensor",), "sigma",
-                lambda args, t, m: sz.matrix_to_json(
-                    permute_stretch(t, m, Permutation.from_string(args.sigma)))),
-}
-_OPERAND_HELP = {"tensor": "tensor JSON path", "left": "left tensor JSON path",
-                 "right": "right tensor JSON path", "vector": "vector JSON path"}
-_EXTRA_FLAGS = {
-    "sigma": {"required": True,
-              "help": "slot permutation in one-line notation, e.g. \"2,1\""},
-    "raw": {"action": "store_true", "help": "unnormalized averaging (block sums, not means)"},
+# Each flag: its argparse name and options; the two --map flags differ in help only.
+_FLAGS = {
+    "tensor": ("--tensor", {"required": True, "help": "tensor JSON path"}),
+    "left": ("--left", {"required": True, "help": "left tensor JSON path"}),
+    "right": ("--right", {"required": True, "help": "right tensor JSON path"}),
+    "vector": ("--vector", {"required": True, "help": "vector JSON path"}),
+    "map": ("--map", {"required": True, "dest": "map_path", "help": "index map JSON path"}),
+    "witness-map": ("--map", {"required": True, "dest": "map_path",
+                              "help": "map JSON path (must embed its index_set)"}),
+    "raw": ("--raw", {"action": "store_true",
+                      "help": "unnormalized averaging (block sums, not means)"}),
+    "sigma": ("--sigma", {"required": True,
+                          "help": "slot permutation in one-line notation, e.g. \"2,1\""}),
+    "spec": ("--spec", {"required": True, "help": "JSON array of Jordan specs"}),
+    "verify": ("--verify", {"action": "store_true",
+                            "help": "certify the closed form with the rank oracle"}),
+    "suite": ("suite", {"help": f"one of: {', '.join(SUITE_NAMES)}"}),
+    "trials": ("--trials", {"type": int, "default": 100}),
+    "seed": ("--seed", {"type": int, "help": "defaults to $STRETCHKIT_SEED, then 0"}),
+    "out": ("--out", {"help": "output path (default: stdout)"}),
+    "pretty": ("--pretty", {"action": "store_true",
+                            "help": "print a matrix as a table, a Jordan type as blocks and a "
+                                    "suite report as lines; other output stays JSON"}),
 }
 
 
-_OTHER_COMMANDS = {"jordan": "Jordan type of an n-fold stretched product",
-                   "tp-witness": "similarity witness for an injective map",
-                   "verify": "run a seeded verification suite"}
+def _jordan(args):
+    specs = sz.jordan_spec_list_from_json(sz.load_json_file(args.spec), path="specs")
+    result = jordan_nfold(specs)
+    if not args.verify:
+        return sz.jordan_spec_to_json(result), True
+    oracle_spec = nfold_oracle(specs)
+    report = {
+        "closed_form": sz.jordan_spec_to_json(result),
+        "oracle": sz.jordan_spec_to_json(oracle_spec),
+        "agree": result == oracle_spec,
+    }
+    return report, report["agree"]
 
 
-def _add_flags(p: argparse.ArgumentParser, name: str) -> None:
-    """The flags of subcommand ``name`` on its parser ``p``."""
-    if name in _TENSOR_COMMANDS:
-        _, operands, extra, _ = _TENSOR_COMMANDS[name]
-        for operand in operands:
-            p.add_argument(f"--{operand}", required=True, help=_OPERAND_HELP[operand])
-        p.add_argument("--map", required=True, dest="map_path", help="index map JSON path")
-        if extra:
-            p.add_argument(f"--{extra}", **_EXTRA_FLAGS[extra])
-    elif name == "jordan":
-        p.add_argument("--spec", required=True, help="JSON array of Jordan specs")
-        p.add_argument("--verify", action="store_true",
-                       help="certify the closed form with the rank oracle")
-    elif name == "tp-witness":
-        p.add_argument("--map", required=True, dest="map_path",
-                       help="map JSON path (must embed its index_set)")
-    else:
-        p.add_argument("suite", help=f"one of: {', '.join(SUITE_NAMES)}")
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--seed", type=int, default=None,
-                       help="defaults to $STRETCHKIT_SEED, then 0")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--pretty", action="store_true",
-                   help="print a matrix as a table, a Jordan type as blocks and a "
-                        "suite report as lines; other output stays JSON")
+def _tp_witness(args, fmap):
+    witness = tp_similarity_witness(fmap)
+    verified = check_tp_witness(fmap, witness)
+    report = {
+        "index_set": sz.index_set_to_json(fmap.domain),
+        "permutation": list(witness.perm),
+        "matrix": sz.matrix_to_json(witness.matrix),
+        "checked_units": len(fmap.domain) ** 2,
+        "verified": verified,
+    }
+    return report, verified
+
+
+def _verify(args):
+    if args.suite not in SUITE_NAMES:
+        raise ParseError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
+    least = min_trials(args.suite)
+    if args.trials < least:
+        raise ParseError(f"--trials must be at least {least}, got {args.trials}")
+    seed = args.seed if args.seed is not None else _default_seed()
+    report = run_suite(args.suite, args.trials, seed)
+    return report, report["ok"]
+
+
+# Each command: help, flags in order (keys of _FLAGS; every command also takes
+# --out and --pretty) and a run from (args, *operands, map) to the output JSON
+# and whether it verified.  A run is a lambda or a function of this module, so
+# it looks library functions up per call and sees functions a tracer swaps.
+_COMMANDS = {
+    "stretch": ("stretch a tensor to a labelled matrix", ("tensor", "map"), lambda args, t, m: (
+        sz.matrix_to_json(stretch(t, m)), True)),
+    "stretch-vector": ("stretch a vector", ("vector", "map"), lambda args, v, m: (
+        sz.vector_to_json(stretch_vector(v, m)), True)),
+    "convolve": ("convolution product of two tensors", ("left", "right", "map"),
+                 lambda args, a, b, m: (sz.tensor_to_json(convolve(a, b, m)), True)),
+    "act": ("act with a tensor on a vector", ("tensor", "vector", "map"), lambda args, t, v, m: (
+        sz.tensor_vector_to_json(act(t, v, m)), True)),
+    "average": ("class-averaging of a tensor", ("tensor", "map", "raw"), lambda args, t, m: (
+        sz.tensor_to_json(average(t, m, normalized=not args.raw)), True)),
+    "kappa": ("determinant of the stretched matrix", ("tensor", "map"), lambda args, t, m: (
+        {"scalar": t.kind, "value": sz.scalar_to_json(kappa(t, m), t.kind)}, True)),
+    "permute": ("stretch through a permuted map", ("tensor", "map", "sigma"), lambda args, t, m: (
+        sz.matrix_to_json(permute_stretch(t, m, Permutation.from_string(args.sigma))), True)),
+    "jordan": ("Jordan type of an n-fold stretched product", ("spec", "verify"), _jordan),
+    "tp-witness": ("similarity witness for an injective map", ("witness-map",), _tp_witness),
+    "verify": ("run a seeded verification suite", ("suite", "trials", "seed"), _verify),
+}
 
 
 def _build_parser(argv) -> argparse.ArgumentParser:
@@ -111,11 +138,11 @@ def _build_parser(argv) -> argparse.ArgumentParser:
                     "Jordan forms of stretched Kronecker products.")
     sub = parser.add_subparsers(dest="command", required=True)
     named = set(argv)
-    commands = {name: row[0] for name, row in _TENSOR_COMMANDS.items()}
-    for name, help_text in {**commands, **_OTHER_COMMANDS}.items():
+    for name, (help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name in named:
-            _add_flags(p, name)
+            for spelling, options in (_FLAGS[f] for f in (*flags, "out", "pretty")):
+                p.add_argument(spelling, **options)
     return parser
 
 
@@ -175,66 +202,19 @@ def _emit(obj, out_path, pretty: bool) -> None:
         sys.stdout.write(text)
 
 
-def _load_map(path, domain=None):
-    return sz.index_map_from_json(sz.load_json_file(path), domain, path="map")
-
-
-def _cmd_tensor(args) -> int:
-    """Load the operands, then the map on the first one's domain; emit the result."""
-    _, operands, _, run = _TENSOR_COMMANDS[args.command]
+def _run(args):
+    """Load the operands in flag order, then the map on the first one's domain
+    (a map without operands embeds its own); the run's output and verdict."""
+    _, flags, run = _COMMANDS[args.command]
     loaded = [sz.tensor_vector_from_json(sz.load_json_file(args.vector), path="vector")
-              if operand == "vector" else
-              sz.tensor_from_json(sz.load_json_file(getattr(args, operand)), path="tensor")
-              for operand in operands]
-    _emit(run(args, *loaded, _load_map(args.map_path, loaded[0].domain)),
-          args.out, args.pretty)
-    return EXIT_OK
-
-
-def _cmd_jordan(args) -> int:
-    specs = sz.jordan_spec_list_from_json(sz.load_json_file(args.spec), path="specs")
-    result = jordan_nfold(specs)
-    if not args.verify:
-        _emit(sz.jordan_spec_to_json(result), args.out, args.pretty)
-        return EXIT_OK
-    oracle_spec = nfold_oracle(specs)
-    report = {
-        "closed_form": sz.jordan_spec_to_json(result),
-        "oracle": sz.jordan_spec_to_json(oracle_spec),
-        "agree": result == oracle_spec,
-    }
-    _emit(report, args.out, args.pretty)
-    return EXIT_OK if report["agree"] else EXIT_VERIFY
-
-
-def _cmd_tp_witness(args) -> int:
-    fmap = _load_map(args.map_path, None)
-    witness = tp_similarity_witness(fmap)
-    verified = check_tp_witness(fmap, witness)
-    report = {
-        "index_set": sz.index_set_to_json(fmap.domain),
-        "permutation": list(witness.perm),
-        "matrix": sz.matrix_to_json(witness.matrix),
-        "checked_units": len(fmap.domain) ** 2,
-        "verified": verified,
-    }
-    _emit(report, args.out, args.pretty)
-    return EXIT_OK if verified else EXIT_VERIFY
-
-
-def _cmd_verify(args) -> int:
-    if args.suite not in SUITE_NAMES:
-        raise ParseError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
-    least = min_trials(args.suite)
-    if args.trials < least:
-        raise ParseError(f"--trials must be at least {least}, got {args.trials}")
-    seed = args.seed if args.seed is not None else _default_seed()
-    report = run_suite(args.suite, args.trials, seed)
-    _emit(report, args.out, args.pretty)
-    return EXIT_OK if report["ok"] else EXIT_VERIFY
-
-
-_HANDLERS = {"jordan": _cmd_jordan, "tp-witness": _cmd_tp_witness, "verify": _cmd_verify}
+              if flag == "vector" else
+              sz.tensor_from_json(sz.load_json_file(getattr(args, flag)), path="tensor")
+              for flag in flags if flag in ("tensor", "left", "right", "vector")]
+    if "map_path" in args:
+        loaded.append(sz.index_map_from_json(sz.load_json_file(args.map_path),
+                                             loaded[0].domain if loaded else None,
+                                             path="map"))
+    return run(args, *loaded)
 
 
 def main(argv=None) -> int:
@@ -245,7 +225,9 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _HANDLERS.get(args.command, _cmd_tensor)(args)
+        obj, verified = _run(args)
+        _emit(obj, args.out, args.pretty)
+        return EXIT_OK if verified else EXIT_VERIFY
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -26,7 +26,8 @@ class IndexSet:
     __slots__ = ("arity", "dims", "points", "_pos")
 
     def __init__(self, points):
-        points = tuple(tuple(map(index, p)) for p in points)
+        points = tuple(sorted((tuple(map(index, p)) for p in points),
+                              key=lambda p: p[::-1]))  # first coordinate fastest
         if not points:
             raise DomainError("index set must be nonempty")
         arity = len(points[0])
@@ -55,9 +56,7 @@ class IndexSet:
 
     @classmethod
     def explicit(cls, points) -> "IndexSet":
-        pts = sorted((tuple(map(index, p)) for p in points),
-                     key=lambda p: tuple(reversed(p)))
-        return cls(pts)
+        return cls(points)
 
     @property
     def is_rectangular(self) -> bool:

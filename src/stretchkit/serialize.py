@@ -23,7 +23,7 @@ from cmath import isfinite
 from fractions import Fraction
 from itertools import product
 
-from .errors import DomainError, ParseError, VariantError
+from .errors import DimensionError, DomainError, ParseError, VariantError
 from .indexing import IndexMap, IndexSet
 from .jordan import JordanSpec
 from .linalg import DenseMatrix, DenseVector
@@ -67,8 +67,12 @@ def fraction_from_str(text, path: str) -> Fraction:
 
 
 def scalar_to_json(value, kind: str) -> dict:
+    """JSON of one scalar.  Finite cf64 input can overflow, and JSON has no
+    infinity or NaN, so a cf64 value that is not finite raises VariantError."""
     if kind == GQ:
         return {"re": fraction_to_str(value.re), "im": fraction_to_str(value.im)}
+    if not isfinite(value):
+        raise VariantError(f"cf64 result {value} is not finite; JSON cannot hold it")
     return {"re": value.real, "im": value.imag}
 
 
@@ -306,7 +310,7 @@ def jordan_spec_from_json(obj, path: str = "spec") -> JordanSpec:
         blocks.append((size, eig))
     try:
         return JordanSpec(blocks)
-    except Exception as exc:
+    except DimensionError as exc:  # a size below 1, or no blocks
         raise ParseError(f"{path}.blocks: {exc}") from None
 
 

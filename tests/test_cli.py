@@ -452,6 +452,35 @@ def test_non_finite_cf64_input_exits_2(tmp_path, fixtures_dir, capsys, token, wh
     assert err == f"parse error: {what}.entries[1].value: cf64 components must be finite\n"
 
 
+def _cf64_on_two_points(entries):
+    return {"index_set": {"kind": "rectangular", "dims": [2]}, "scalar": "cf64",
+            "entries": [{"row": [i], "col": [j], "value": {"re": re, "im": 0}}
+                        for i, j, re in entries]}
+
+
+@pytest.mark.parametrize("command", ["convolve", "stretch"])
+@pytest.mark.parametrize("extra", [[], ["--pretty"], ["--out"]], ids=["json", "pretty", "out"])
+def test_cf64_result_that_overflows_exits_5(tmp_path, capsys, command, extra):
+    # Finite input, but the product or the class sum is past the float range.
+    if command == "convolve":
+        t = write_json(tmp_path, "t.json", _cf64_on_two_points(
+            [(i, j, 1e300) for i in range(2) for j in range(2)]))
+        fmap = write_json(tmp_path, "f.json", {"kind": "linear", "k": [1]})
+        argv = ["convolve", "--left", t, "--right", t, "--map", fmap]
+    else:
+        t = write_json(tmp_path, "t.json", _cf64_on_two_points([(0, 0, 1e308), (1, 1, 1e308)]))
+        fmap = write_json(tmp_path, "f.json", {"kind": "table", "pairs": [
+            {"point": [0], "value": 0}, {"point": [1], "value": 0}]})
+        argv = ["stretch", "--tensor", t, "--map", fmap]
+    out_path = tmp_path / "out.json"
+    if extra == ["--out"]:
+        extra = ["--out", str(out_path)]
+    code, out, err = run_cli(argv + extra, capsys)
+    assert (code, out) == (5, "")
+    assert err == "scalar variant error: cf64 result (inf+0j) is not finite; JSON cannot hold it\n"
+    assert not out_path.exists()
+
+
 USAGE = {
     None: "[-h] {stretch,stretch-vector,convolve,act,average,kappa,permute,jordan,"
           "tp-witness,verify} ...",

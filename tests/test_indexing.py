@@ -32,6 +32,15 @@ def test_explicit_sorting_matches_rectangular_order():
     assert shuffled == rect  # equality is pointwise
 
 
+def test_constructor_sorts_points_like_explicit():
+    # Every index set holds its points in the canonical order, however given.
+    given = [(1, 0), (0, 0)]
+    assert IndexSet(given) == IndexSet.explicit(given)
+    assert IndexSet(given).points == ((0, 0), (1, 0))
+    assert IndexSet([(0, 1), (1, 0), (0, 0)]).points == ((0, 0), (1, 0), (0, 1))
+    assert IndexSet(given).position((1, 0)) == 1
+
+
 def test_explicit_rejects_duplicates_and_ragged_points():
     with pytest.raises(DomainError):
         IndexSet.explicit([(0, 0), (0, 0)])

@@ -172,6 +172,29 @@ def test_jordan_spec_round_trip():
                                               {"re": "1/1", "im": "0/1"}}]})
 
 
+def test_jordan_spec_errors_other_than_dimension_propagate(monkeypatch):
+    # Only the DimensionError of a bad size or an empty block list is a parse error.
+    def fail(blocks):
+        raise RuntimeError("not a parse error")
+    monkeypatch.setattr(sz, "JordanSpec", fail)
+    with pytest.raises(RuntimeError, match="not a parse error"):
+        sz.jordan_spec_from_json(sz.jordan_spec_to_json(JordanSpec.single(1, gq(0))))
+
+
+def test_tensor_on_a_set_built_out_of_order_round_trips():
+    domain = IndexSet([(1, 0), (0, 0)])
+    t = Tensor.from_entries(domain, GQ, {((1, 0), (0, 0)): gq(2), ((0, 0), (1, 0)): gq(-1)})
+    assert sz.tensor_from_json(sz.tensor_to_json(t)) == t
+
+
+@pytest.mark.parametrize("value", [complex(float("inf"), 0), complex(1, float("-inf")),
+                                   complex(float("nan"), 0)], ids=["inf", "-inf-im", "nan"])
+def test_non_finite_cf64_value_is_not_written(value):
+    with pytest.raises(VariantError, match="is not finite"):
+        sz.scalar_to_json(value, CF64)
+    assert sz.scalar_to_json(complex(1e308, -2.5), CF64) == {"re": 1e308, "im": -2.5}
+
+
 def test_dumps_is_canonical_and_deterministic():
     obj = {"b": 1, "a": {"d": [1, 2], "c": "x"}}
     first = sz.dumps(obj)
