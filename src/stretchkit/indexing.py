@@ -9,7 +9,7 @@ reshape under the canonical order.
 from __future__ import annotations
 
 from math import isqrt
-from operator import index
+from operator import index, itemgetter
 
 from .errors import DomainError, ParseError, PermutationDomainError
 
@@ -26,21 +26,22 @@ class IndexSet:
     __slots__ = ("arity", "dims", "points", "_pos")
 
     def __init__(self, points):
-        points = tuple(sorted((tuple(map(index, p)) for p in points),
-                              key=lambda p: p[::-1]))  # first coordinate fastest
+        points = [tuple(map(index, p)) for p in points]
         if not points:
             raise DomainError("index set must be nonempty")
-        arity = len(points[0])
-        if arity < 1:
+        arities = set(map(len, points))
+        if 0 in arities:
             raise DomainError("index arity must be at least 1")
-        if any(len(p) != arity for p in points):
+        if len(arities) > 1:
             raise DomainError("all points must share one arity")
-        if len(set(points)) != len(points):
+        arity = arities.pop()
+        # First coordinate fastest: the key is the reversed point.
+        self.points = points = tuple(sorted(points, key=itemgetter(*range(arity - 1, -1, -1))))
+        self._pos = {p: i for i, p in enumerate(points)}
+        if len(self._pos) != len(points):
             raise DomainError("index set points must be distinct")
         self.arity = arity
         self.dims = None
-        self.points = points
-        self._pos = {p: i for i, p in enumerate(points)}
 
     @classmethod
     def rectangular(cls, dims) -> "IndexSet":

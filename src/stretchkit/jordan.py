@@ -202,26 +202,75 @@ class JordanOracleResult:
         return f"JordanOracleResult(dim={self.dimension}, eigs={len(self.eigen_data)})"
 
 
-def jordan_oracle(m: DenseMatrix, eigenvalues) -> JordanOracleResult:
-    """Certify a Jordan structure from exact rank computations.
+def _parts(rows):
+    """The connected parts of the graph with an edge i-j for each nonzero
+    (i, j) of the square ``rows`` (union-find): each part's rows, in order,
+    with their columns renumbered within it."""
+    root = list(range(len(rows)))
 
-    For each candidate eigenvalue the Weyr sequence w_k = nullity((M - eig)^k)
-    is computed to stabilization; its first differences count blocks of size
-    at least k.  The supplied eigenvalue set must exhaust the spectrum, which
-    is checked by dimension accounting.
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+    for i, row in enumerate(rows):
+        for j in row:
+            a, b = find(i), find(j)
+            root[max(a, b)] = min(a, b)
+    parts = {}
+    for i in range(len(rows)):
+        parts.setdefault(find(i), []).append(i)
+    renumbered = []
+    for part in parts.values():
+        at = {i: k for k, i in enumerate(part)}
+        renumbered.append([{at[j]: x for j, x in rows[i].items()} for i in part])
+    return renumbered
+
+
+def _triangular_diagonal(rows):
+    """The set of diagonal entries of ``rows`` when they are upper triangular,
+    which is then their spectrum; None otherwise."""
+    if any(j < i for i, row in enumerate(rows) for j in row):
+        return None
+    return {row.get(i, (0, 0)) for i, row in enumerate(rows)}
+
+
+def _stable(nullities, n):
+    """``[0, w_1, w_2, ...]`` of a nullity sequence of an n x n matrix, up to
+    the first w_k that repeats w_(k-1) or reaches n, and at most k = n + 1."""
+    weyr = [0]
+    for _, nullity in zip(range(n + 1), nullities):
+        weyr.append(nullity)
+        if nullity in (weyr[-2], n):
+            break
+    return weyr
+
+
+def _weyr_oracle(rows, den, eigenvalues) -> JordanOracleResult:
+    """:func:`jordan_oracle` of the exact square matrix M whose Gaussian-integer
+    rows of den * M are ``rows`` (see :func:`~stretchkit.linalg.gauss_rows`).
+
+    M is permutation-similar to the direct sum of its connected parts, so
+    each nullity of a power of (M - eig) is the sum of the parts' nullities.
+    Each part runs :func:`~stretchkit.linalg.power_nullities` until its own
+    nullity stops changing, except that an upper triangular part without
+    ``eig`` on its diagonal (its spectrum) has nullity 0 and is skipped.  The
+    sum, padded with each part's last value, is cut by the same stop rule as
+    one sequence of M.
     """
-    require_matrices(m, what="the Jordan oracle", exact=True, square=True)
-    n, rows = m.n_rows, gauss_rows(m._k, m.n_cols)
+    n = len(rows)
+    parts = [(part, _triangular_diagonal(part)) for part in _parts(rows)]
     eigs = sorted({coerce(e, GQ) for e in eigenvalues}, key=_eig_key)
     eigen_data = []
     covered = 0
     for eig in eigs:
-        weyr = [0]
-        for nullity in power_nullities(rows, m._k[0], eig):
-            stop = nullity in (weyr[-1], n) or len(weyr) > n
-            weyr.append(nullity)
-            if stop:
-                break
+        seqs, re, im = [], eig.re * den, eig.im * den
+        at = (int(re), int(im)) if re.denominator == im.denominator == 1 else None
+        for part, diagonal in parts:
+            if diagonal is None or at in diagonal:
+                seqs.append(_stable(power_nullities(part, den, eig), len(part)))
+        weyr = _stable((sum(seq[min(k, len(seq) - 1)] for seq in seqs)
+                        for k in range(1, n + 2)), n)
         # geq[k - 1] counts the blocks of size at least k.
         geq = [b - a for a, b in zip(weyr, weyr[1:])] + [0]
         if any(x < y for x, y in zip(geq, geq[1:])):
@@ -237,6 +286,20 @@ def jordan_oracle(m: DenseMatrix, eigenvalues) -> JordanOracleResult:
     return JordanOracleResult(eigen_data, n)
 
 
+def jordan_oracle(m: DenseMatrix, eigenvalues) -> JordanOracleResult:
+    """Certify a Jordan structure from exact rank computations.
+
+    For each candidate eigenvalue the Weyr sequence w_k = nullity((M - eig)^k)
+    is computed to stabilization; its first differences count blocks of size
+    at least k.  The supplied eigenvalue set must exhaust the spectrum, which
+    is checked by dimension accounting.  The nullities are computed on each
+    connected part of M's sparsity graph alone and summed (see
+    :func:`_weyr_oracle`); a dense M is one part.
+    """
+    require_matrices(m, what="the Jordan oracle", exact=True, square=True)
+    return _weyr_oracle(gauss_rows(m._k, m.n_cols), m._k[0], eigenvalues)
+
+
 def nfold_product_matrix(specs) -> DenseMatrix:
     """Kronecker product (first factor fastest) of the specs' matrices."""
     return reduce(kron, [spec_matrix(s) for s in _factors(specs)])
@@ -250,9 +313,32 @@ def nfold_eigenvalues(specs):
     return sorted(products, key=_eig_key)
 
 
+def _kron_rows(a, b):
+    """Gaussian-integer rows of the Kronecker product of the square rows ``a``
+    and ``b``, in the layout of :func:`~stretchkit.linalg.kron` (first factor
+    fastest); only nonzeros are multiplied."""
+    n_a = len(a)
+    return [{ja + n_a * jb: (xr * yr - xi * yi, xr * yi + xi * yr)
+             for jb, (yr, yi) in row_b.items() for ja, (xr, xi) in row_a.items()}
+            for row_b in b for row_a in a]
+
+
+def _nfold_rows(specs):
+    """``(rows, den)``: the Gaussian-integer rows of den * M, M the Kronecker
+    product of the specs' matrices (:func:`nfold_product_matrix`), and den
+    the product of their denominators; built as sparse rows, never as the
+    dense N x N matrix."""
+    rows, den = [{0: (1, 0)}], 1
+    for spec in _factors(specs):
+        m = spec_matrix(spec)
+        rows, den = _kron_rows(rows, gauss_rows(m._k, m.n_cols)), den * m._k[0]
+    return rows, den
+
+
 def nfold_oracle(specs) -> JordanSpec:
     """Jordan type of the n-fold stretched product of ``specs``, certified by
-    :func:`jordan_oracle` on the Kronecker product of the spec matrices; it
-    never reads the closed forms.  A pair of cells is the 2-fold case."""
+    the rank oracle on the sparse Kronecker rows of the spec matrices
+    (:func:`_nfold_rows`), one connected part at a time; it never reads the
+    closed forms.  A pair of cells is the 2-fold case."""
     specs = _factors(specs)
-    return jordan_oracle(nfold_product_matrix(specs), nfold_eigenvalues(specs)).spec()
+    return _weyr_oracle(*_nfold_rows(specs), nfold_eigenvalues(specs)).spec()

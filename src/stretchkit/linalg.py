@@ -169,12 +169,17 @@ def kron_k(a, b, p, r, q, s):
     """Kernel-form Kronecker product of a p x r and a q x s array (see
     :func:`kron` for the layout), not reduced to canonical form."""
     (da, ar, ai), (db, br, bi) = a, b
-    pairs = [(i1 * r + j1, i2 * s + j2) for i2 in range(q) for i1 in range(p)
-             for j2 in range(s) for j1 in range(r)]
-    if ai is None:
-        return 1, [ar[x] * br[y] for x, y in pairs], None
-    return (da * db, [ar[x] * br[y] - ai[x] * bi[y] for x, y in pairs],
-            [ar[x] * bi[y] + ai[x] * br[y] for x, y in pairs])
+    if ai is None or not (any(ai) or any(bi)):
+        rows_a = [ar[i:i + r] for i in range(0, p * r, r)]
+        re = [x * y for rb in (br[i:i + s] for i in range(0, q * s, s))
+              for ra in rows_a for y in rb for x in ra]
+        return (1, re, None) if ai is None else (da * db, re, [0] * len(re))
+    rows_a = [list(zip(ar[i:i + r], ai[i:i + r])) for i in range(0, p * r, r)]
+    rows_b = [list(zip(br[i:i + s], bi[i:i + s])) for i in range(0, q * s, s)]
+    return (da * db, [xr * yr - xi * yi for rb in rows_b for ra in rows_a
+                      for yr, yi in rb for xr, xi in ra],
+            [xr * yi + xi * yr for rb in rows_b for ra in rows_a
+             for yr, yi in rb for xr, xi in ra])
 
 
 def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -264,7 +269,8 @@ def gauss_rows(entries, n_cols):
     """Gaussian-integer rows ``{col: (re, im)}`` of den * entries, given in
     exact kernel form ``(den, re, im)``, zeros left out."""
     _, re, im = entries
-    return [{j: (re[k + j], im[k + j]) for j in range(n_cols) if re[k + j] or im[k + j]}
+    cols = range(n_cols)
+    return [{j: (x, y) for j, x, y in zip(cols, re[k:k + n_cols], im[k:k + n_cols]) if x or y}
             for k in range(0, len(re), n_cols)]
 
 
@@ -355,12 +361,14 @@ def power_nullities(rows, den, lam):
     from the rows' nonzeros; scaling changes no rank, so the k-th nullity is
     that of S^k.  Each power is S times the previous one, summed over the
     nonzeros only: the matrices of Jordan products and their powers are
-    sparse.
+    sparse.  The Jordan oracle runs one chain per connected part of its
+    matrix, on that part's rows with their columns renumbered.
     """
     n = len(rows)
     d = lcm(den, lam.re.denominator, lam.im.denominator)
     s = d // den
-    lr, li = int(lam.re * d), int(lam.im * d)
+    lr = lam.re.numerator * (d // lam.re.denominator)
+    li = lam.im.numerator * (d // lam.im.denominator)
     shift = [{j: (x * s, y * s) for j, (x, y) in row.items()} for row in rows]
     for i, row in enumerate(shift):
         x, y = row.pop(i, (0, 0))

@@ -216,13 +216,32 @@ def test_jordan_nilpotent_factor_case(tmp_path, capsys):
 
 
 def test_jordan_verify_certifies_a_five_fold_product(tmp_path, capsys):
-    # N = 4^5 = 1,024; the oracle converts the product matrix to rows once.
+    # N = 4^5 = 1,024; the oracle builds the product's sparse Kronecker rows.
     specs = write_json(tmp_path, "specs.json", [spec_json([(2, 1), (2, 0)])] * 5)
     code, out, _ = run_cli(["jordan", "--spec", specs, "--verify"], capsys)
     assert code == 0
     obj = json.loads(out)
     assert obj["agree"] is True
     assert sum(b["size"] for b in obj["oracle"]["blocks"]) == 1024
+
+
+def test_jordan_verify_certifies_a_six_fold_product_in_512_mib(tmp_path):
+    # N = 4^6 = 4,096: the dense product alone would hold 16.8 million
+    # entries, so this passes only if the oracle never builds it.
+    resource = pytest.importorskip("resource")
+    limit = 512 * 2 ** 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    specs = write_json(tmp_path, "specs.json", [spec_json([(2, 1), (2, 0)])] * 6)
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    result = subprocess.run([sys.executable, "-m", "stretchkit", "jordan", "--spec", specs,
+                             "--verify"], capture_output=True, text=True, env=env,
+                            timeout=120, preexec_fn=cap_memory)
+    assert result.returncode == 0, result.stderr
+    obj = json.loads(result.stdout)
+    assert obj["agree"] is True
+    assert sum(b["size"] for b in obj["oracle"]["blocks"]) == 4096
 
 
 def test_jordan_float_eigenvalue_exits_5(tmp_path, capsys):
