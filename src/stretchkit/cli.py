@@ -191,7 +191,7 @@ def _pretty(obj) -> str:
 
 
 def _emit(obj, out_path, pretty: bool) -> None:
-    text = _pretty(obj) if pretty else sz.dumps(obj)
+    text = sz.exact_text(_pretty, obj) if pretty else sz.dumps(obj)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:

@@ -171,28 +171,6 @@ class ClassPartition:
         return len(self.values)
 
 
-def class_grid(rows, cols) -> tuple:
-    """``(cells, size)`` of a fold: entry (i, j) of a row-major
-    ``len(rows) x len(cols)`` array goes to cell ``cells[i * len(cols) + j]``,
-    which is (rows[i], cols[j]) of a row-major class grid of ``size`` cells.
-
-    A partition's ``class_of_position`` folds an axis by class, ``range(n)``
-    keeps it and ``(0,)`` stands for a vector's single column.
-    """
-    width = max(cols) + 1
-    return [r * width + c for r in rows for c in cols], (max(rows) + 1) * width
-
-
-def class_fold(values, grid, zero=0) -> list:
-    """Add each of ``values`` into its cell of a :func:`class_grid`."""
-    cells, size = grid
-    out = [zero] * size
-    for cell, v in zip(cells, values):
-        if v:
-            out[cell] += v
-    return out
-
-
 class IndexMap:
     """Integer-valued function on a finite index set, held as its values in
     the set's canonical order, with its class structure."""

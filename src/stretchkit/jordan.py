@@ -13,6 +13,7 @@ oracle certifies this choice on every run.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import reduce
 from operator import index
 
@@ -178,15 +179,11 @@ def explicit_pair_matrix(c: JordanSpec, d: JordanSpec) -> DenseMatrix:
     return square_matrix(GQ, dim, entries.items(), tuple(range(dim)))
 
 
-class JordanOracleResult:
-    """Per-eigenvalue Weyr sequences and the block multisets they force."""
+class JordanOracleResult(namedtuple("JordanOracleResult", "eigen_data dimension")):
+    """Per-eigenvalue Weyr sequences and the block multisets they force:
+    ``eigen_data`` holds (eigenvalue, Weyr tuple, descending block sizes)."""
 
-    __slots__ = ("eigen_data", "dimension")
-
-    def __init__(self, eigen_data, dimension):
-        # eigen_data: tuple of (eigenvalue, weyr tuple, block-size tuple desc)
-        self.eigen_data = tuple(eigen_data)
-        self.dimension = dimension
+    __slots__ = ()
 
     def spec(self) -> JordanSpec:
         return JordanSpec((size, eig) for eig, _, sizes in self.eigen_data for size in sizes)
@@ -197,9 +194,6 @@ class JordanOracleResult:
             if e == eig:
                 return w
         raise DomainError(f"oracle was not run for eigenvalue {eig}")
-
-    def __repr__(self):
-        return f"JordanOracleResult(dim={self.dimension}, eigs={len(self.eigen_data)})"
 
 
 def _parts(rows):
@@ -283,7 +277,7 @@ def _weyr_oracle(rows, den, eigenvalues) -> JordanOracleResult:
     if covered != n:
         raise DomainError(
             f"eigenvalue set covers dimension {covered} of {n}; an eigenvalue is missing")
-    return JordanOracleResult(eigen_data, n)
+    return JordanOracleResult(tuple(eigen_data), n)
 
 
 def jordan_oracle(m: DenseMatrix, eigenvalues) -> JordanOracleResult:

@@ -165,23 +165,6 @@ def mat_vec(a: DenseMatrix, v: DenseVector) -> DenseVector:
     return mat_mul(a, v)
 
 
-def kron_k(a, b, p, r, q, s):
-    """Kernel-form Kronecker product of a p x r and a q x s array (see
-    :func:`kron` for the layout), not reduced to canonical form."""
-    (da, ar, ai), (db, br, bi) = a, b
-    if ai is None or not (any(ai) or any(bi)):
-        rows_a = [ar[i:i + r] for i in range(0, p * r, r)]
-        re = [x * y for rb in (br[i:i + s] for i in range(0, q * s, s))
-              for ra in rows_a for y in rb for x in ra]
-        return (1, re, None) if ai is None else (da * db, re, [0] * len(re))
-    rows_a = [list(zip(ar[i:i + r], ai[i:i + r])) for i in range(0, p * r, r)]
-    rows_b = [list(zip(br[i:i + s], bi[i:i + s])) for i in range(0, q * s, s)]
-    return (da * db, [xr * yr - xi * yi for rb in rows_b for ra in rows_a
-                      for yr, yi in rb for xr, xi in ra],
-            [xr * yi + xi * yr for rb in rows_b for ra in rows_a
-             for yr, yi in rb for xr, xi in ra])
-
-
 def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Kronecker product in first-factor-varies-fastest layout.
 
@@ -193,8 +176,21 @@ def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """
     require_matrices(a, b)
     p, r, q, s = a.n_rows, a.n_cols, b.n_rows, b.n_cols
-    return stored(DenseMatrix, a.kind, kron_k(a._k, b._k, p, r, q, s), n_rows=p * q,
-                  n_cols=r * s, row_labels=None, col_labels=None)
+    (da, ar, ai), (db, br, bi) = a._k, b._k
+    if ai is None or not (any(ai) or any(bi)):
+        rows_a = [ar[i:i + r] for i in range(0, p * r, r)]
+        re = [x * y for rb in (br[i:i + s] for i in range(0, q * s, s))
+              for ra in rows_a for y in rb for x in ra]
+        k = (1, re, None) if ai is None else (da * db, re, [0] * len(re))
+    else:
+        rows_a = [list(zip(ar[i:i + r], ai[i:i + r])) for i in range(0, p * r, r)]
+        rows_b = [list(zip(br[i:i + s], bi[i:i + s])) for i in range(0, q * s, s)]
+        k = (da * db, [xr * yr - xi * yi for rb in rows_b for ra in rows_a
+                       for yr, yi in rb for xr, xi in ra],
+             [xr * yi + xi * yr for rb in rows_b for ra in rows_a
+              for yr, yi in rb for xr, xi in ra])
+    return stored(DenseMatrix, a.kind, k, n_rows=p * q, n_cols=r * s,
+                  row_labels=None, col_labels=None)
 
 
 def _bareiss(m: DenseMatrix, above):

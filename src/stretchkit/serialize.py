@@ -35,20 +35,28 @@ _INT = frozenset((int,))
 _NUMBER = frozenset((int, float))
 
 
-def fraction_to_str(f: Fraction) -> str:
-    """``"p/q"`` of ``f``.  A part past Python's int/str digit limit is written
-    with the limit lifted for this one call, so output stays exact however
+def exact_text(render, *args) -> str:
+    """``render(*args)``, run again with Python's int/str digit limit lifted
+    for that one call if an int is past it, so output stays exact however
     large the numbers grew.  Input from outside is never parsed this way: the
     limit guards against the quadratic time of parsing huge numbers."""
     try:
-        return f"{f.numerator}/{f.denominator}"
+        return render(*args)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            return f"{f.numerator}/{f.denominator}"
+            return render(*args)
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+def fraction_to_str(f: Fraction) -> str:
+    """``"p/q"`` of ``f``, in full (see :func:`exact_text`)."""
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:
+        return exact_text("{0.numerator}/{0.denominator}".format, f)
 
 
 def fraction_from_str(text, path: str) -> Fraction:
@@ -327,7 +335,7 @@ def dumps(obj) -> str:
     a tree of dicts with string keys, lists, tuples, strings, ints, floats,
     booleans and None; anything else raises ``TypeError``.
     """
-    return _render(obj, "\n", {}) + "\n"
+    return exact_text(_render, obj, "\n", {}) + "\n"
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii

@@ -9,6 +9,7 @@ class-averaging map is exactly the lost information.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 
 from .errors import DomainError
 from .indexing import IndexMap, Permutation
@@ -23,7 +24,7 @@ def stretch(t: Tensor, fmap: IndexMap) -> DenseMatrix:
     require_domain(fmap, t)
     part = fmap.partition()
     cidx, k = part.class_of_position, len(part)
-    return stored(DenseMatrix, t.kind, fold(t, cidx, cidx), n_rows=k, n_cols=k,
+    return stored(DenseMatrix, t.kind, fold(t, cidx, cidx)[0], n_rows=k, n_cols=k,
                   row_labels=part.values, col_labels=part.values)
 
 
@@ -31,7 +32,7 @@ def stretch_vector(x: TensorVector, fmap: IndexMap) -> DenseVector:
     """Stretched vector: the component at F(i) accumulates x over the class."""
     require_domain(fmap, x, TensorVector)
     part = fmap.partition()
-    return stored(DenseVector, x.kind, fold(x, part.class_of_position, (0,)),
+    return stored(DenseVector, x.kind, fold(x, part.class_of_position, (0,))[0],
                   n_rows=len(part), n_cols=1, row_labels=part.values, col_labels=None)
 
 
@@ -45,27 +46,15 @@ def permute_stretch(t: Tensor, fmap: IndexMap, sigma: Permutation) -> DenseMatri
     return stretch(t, fmap.compose(sigma))
 
 
-class SimilarityWitness:
+class SimilarityWitness(namedtuple("SimilarityWitness", "perm matrix")):
     """Permutation conjugating the mixed-radix stretch into a given injective one.
 
     ``perm[i]`` is the rank (among sorted map values) of the point whose
     mixed-radix position is i; ``matrix`` is the permutation matrix U with
-    U e_i = e_{perm[i]}.  Immutable by convention.
+    U e_i = e_{perm[i]}.
     """
 
-    __slots__ = ("perm", "matrix")
-
-    def __init__(self, perm: tuple, matrix: DenseMatrix):
-        self.perm = perm
-        self.matrix = matrix
-
-    def __eq__(self, other):
-        if not isinstance(other, SimilarityWitness):
-            return NotImplemented
-        return self.perm == other.perm and self.matrix == other.matrix
-
-    def __repr__(self):
-        return f"SimilarityWitness(perm={self.perm!r}, matrix={self.matrix!r})"
+    __slots__ = ()
 
 
 def tp_similarity_witness(fmap: IndexMap) -> SimilarityWitness:
@@ -89,16 +78,16 @@ def tp_similarity_witness(fmap: IndexMap) -> SimilarityWitness:
 def check_tp_witness(fmap: IndexMap, witness: SimilarityWitness) -> bool:
     """Verify stretch(T, F) == U * stretch(T, F_TP) * U^T for every tensor T.
 
-    F must be injective and U = ``witness.matrix`` a permutation matrix;
-    both are checked directly.  Then one tensor D with pairwise-distinct
-    entries suffices.  Proof: for injective F, stretch(., F) moves entry
-    (i, j) of a tensor to cell (rank F(i), rank F(j)), so each cell of the
-    left side reads T at the pair lambda(cell) for a fixed bijection lambda.
-    F_TP is injective too, and conjugation by a permutation matrix (U^T is
-    U^-1) moves entries, so each cell of the right side reads T at rho(cell)
-    for a fixed bijection rho.  If both sides agree on D, then
-    D[lambda(c)] == D[rho(c)] for every cell c, and distinct entries force
-    lambda(c) == rho(c); the two sides then agree on every T.
+    F must be injective, U = ``witness.matrix`` a permutation matrix and
+    ``witness.perm`` its permutation; all are checked directly.  Then one
+    tensor D with pairwise-distinct entries suffices.  Proof: for injective F,
+    stretch(., F) moves entry (i, j) of a tensor to cell (rank F(i), rank
+    F(j)), so each cell of the left side reads T at the pair lambda(cell) for a
+    fixed bijection lambda.  F_TP is injective too, and conjugation by a
+    permutation matrix (U^T is U^-1) moves entries, so each cell of the right
+    side reads T at rho(cell) for a fixed bijection rho.  If both sides agree
+    on D, then D[lambda(c)] == D[rho(c)] for every cell c, and distinct entries
+    force lambda(c) == rho(c); the two sides then agree on every T.
 
     The right side needs no product: with c(a) the column of the one in row
     a of U, (U S U^T)[a, b] = S[c(a), c(b)], a reindex of S.
@@ -112,11 +101,12 @@ def check_tp_witness(fmap: IndexMap, witness: SimilarityWitness) -> bool:
         return False
     den, re, im = u._k
     ones = [p for p, (x, y) in enumerate(zip(re, im)) if x or y]  # row-major
-    if not ([p // n for p in ones] == sorted(p % n for p in ones) == list(range(n))
-            and all(re[p] == den and not im[p] for p in ones)):
+    col = [p % n for p in ones]
+    if not ([p // n for p in ones] == sorted(col) == list(range(n))
+            and all(re[p] == den and not im[p] for p in ones)
+            and tuple(sorted(range(n), key=col.__getitem__)) == witness.perm):
         return False
     distinct = stored(Tensor, GQ, (1, range(1, n * n + 1), [0] * (n * n)), domain=domain)
-    col = [p % n for p in ones]
     rhs = take(stretch(distinct, tp)._k, [ca * n + cb for ca in col for cb in col])
     return stretch(distinct, fmap)._k == rhs
 

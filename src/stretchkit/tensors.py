@@ -8,12 +8,13 @@ matrix product.
 """
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
 from operator import attrgetter, mul
 
 from .errors import DomainError
-from .indexing import IndexMap, IndexSet, class_fold, class_grid
-from .linalg import kron_k, product, require_matrices, require_same_kind, require_type
+from .indexing import IndexMap, IndexSet
+from .linalg import kron, product, require_matrices, require_same_kind, require_type
 from .scalars import GQ, Entries, coerce, data_close, stored, take, trusted
 
 
@@ -78,21 +79,15 @@ def require_domain(fmap: IndexMap, obj, cls=Tensor):
 
 
 def pure_tensor(factors) -> Tensor:
-    """Tensor of a list of square matrices on the rectangular set of their sizes.
-
-    The entry at (i, j) is the product over slots s of factors[s][i_s, j_s].
-    Canonical order is mixed-radix order, first slot fastest, which is the
-    Kronecker layout of :func:`~stretchkit.linalg.kron`.
-    """
+    """Tensor of a list of square matrices on the rectangular set of their
+    sizes: their :func:`~stretchkit.linalg.kron`, whose layout is that set's
+    canonical order, so entry (i, j) is the product of factors[s][i_s, j_s]."""
     factors = list(factors)
     if not factors:
         raise DomainError("pure_tensor needs at least one factor")
     require_matrices(*factors, what="pure_tensor", square=True)
-    dims = tuple(f.n_rows for f in factors)
-    k, n = factors[0]._k, dims[0]
-    for f in factors[1:]:
-        k, n = kron_k(k, f._k, n, n, f.n_rows, f.n_rows), n * f.n_rows
-    return stored(Tensor, factors[0].kind, k, domain=IndexSet.rectangular(dims))
+    m = reduce(kron, factors)
+    return stored(Tensor, m.kind, m._k, domain=IndexSet.rectangular(f.n_rows for f in factors))
 
 
 def identity_tensor(domain: IndexSet, kind=GQ) -> Tensor:
@@ -101,13 +96,27 @@ def identity_tensor(domain: IndexSet, kind=GQ) -> Tensor:
 
 
 def fold(obj, rows, cols):
-    """:func:`class_fold` of the stored entries of ``obj``, checked by the caller,
-    on the ``class_grid(rows, cols)``, in the same kernel form."""
-    grid = class_grid(rows, cols)
+    """``(k, cells)``: the stored entries of ``obj``, checked by the caller,
+    each added into its cell of a row-major class grid, in the same kernel
+    form ``k``.  Entry (i, j) of the row-major ``len(rows) x len(cols)``
+    layout goes to cell ``cells[i * len(cols) + j]``, which is (rows[i], cols[j]).
+
+    A partition's ``class_of_position`` folds an axis by class, ``range(n)``
+    keeps it and ``(0,)`` stands for a vector's single column.
+    """
+    width = max(cols) + 1
+    cells = [r * width + c for r in rows for c in cols]
+    size = (max(rows) + 1) * width
+
+    def add(values, zero=0):
+        out = [zero] * size
+        for cell, v in zip(cells, values):
+            if v:
+                out[cell] += v
+        return out
     den, re, im = obj._k
-    if im is None:
-        return 1, class_fold(re, grid, 0j), None
-    return den, class_fold(re, grid), class_fold(im, grid)
+    k = (1, add(re, 0j), None) if im is None else (den, add(re), add(im))
+    return k, cells
 
 
 def _times(t: Tensor, x, cls, fmap: IndexMap):
@@ -119,7 +128,7 @@ def _times(t: Tensor, x, cls, fmap: IndexMap):
     require_same_kind(t, x)
     part = fmap.partition()
     n, k, cidx, m = t.size, len(part), part.class_of_position, x._cols
-    out = product(fold(t, range(n), cidx), fold(x, cidx, range(m)), n, k, m)
+    out = product(fold(t, range(n), cidx)[0], fold(x, cidx, range(m))[0], n, k, m)
     return stored(cls, t.kind, out, domain=t.domain)
 
 
@@ -156,8 +165,8 @@ def average(t: Tensor, fmap: IndexMap, normalized: bool = True) -> Tensor:
     """
     require_domain(fmap, t)
     part = fmap.partition()
-    cidx, sizes, k = part.class_of_position, part.sizes, len(part)
-    den, re, im = fold(t, cidx, cidx)
+    cidx, sizes = part.class_of_position, part.sizes
+    (den, re, im), cells = fold(t, cidx, cidx)
     counts = [a * b if normalized else 1 for a in sizes for b in sizes]
     if im is None:
         re = [v / c if v and c > 1 else v for v, c in zip(re, counts)]
@@ -165,8 +174,8 @@ def average(t: Tensor, fmap: IndexMap, normalized: bool = True) -> Tensor:
         m = lcm(*counts)
         scale = [m // c for c in counts]
         den, re, im = den * m, list(map(mul, re, scale)), list(map(mul, im, scale))
-    order = [ci * k + cj for ci in cidx for cj in cidx]
-    return stored(Tensor, t.kind, take((den, re, im), order), domain=t.domain)
+    # Each entry reads back the cell it was added into.
+    return stored(Tensor, t.kind, take((den, re, im), cells), domain=t.domain)
 
 
 tensors_close = data_close

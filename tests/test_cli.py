@@ -9,6 +9,7 @@ import pytest
 from stretchkit import serialize as sz
 from stretchkit.cli import main
 from stretchkit.errors import DomainError
+from stretchkit.indexing import enumerate_z
 from stretchkit.jordan import JordanSpec
 from stretchkit.linalg import DenseMatrix
 from stretchkit.scalars import GQ
@@ -593,3 +594,41 @@ def test_exact_output_past_digit_limit_is_written_in_full(tmp_path):
     pretty = run_module("stretch", "--tensor", tensor, "--map", fold, "--pretty")
     assert (pretty.returncode, pretty.stderr) == (0, "")
     assert pretty.stdout.split() == ["0", "0", "|1" + "9" * 4299 + "8"]
+
+
+def test_map_values_past_digit_limit_are_written_in_full(tmp_path):
+    # k = 10^4299 has 4,300 digits, which input may have; on 0..10 the map
+    # reaches 10^4300, which output must write in full.  json.loads reads
+    # ints as text here, since this process keeps the default limit too.
+    labels = ["0"] + [str(i) + "0" * 4299 for i in range(1, 11)]
+    tensor = diagonal_tensor(tmp_path, *["1/1"] * 11)
+    vector = write_json(tmp_path, "v.json", {
+        "index_set": {"kind": "rectangular", "dims": [11]}, "scalar": "gq",
+        "entries": [{"point": [i], "value": {"re": "1/1", "im": "0/1"}} for i in range(11)]})
+    fmap = write_json(tmp_path, "m.json", {"kind": "linear", "k": [10 ** 4299]})
+    for args, field in [(("stretch", "--tensor", tensor), "row_labels"),
+                        (("permute", "--tensor", tensor, "--sigma", "1"), "col_labels"),
+                        (("stretch-vector", "--vector", vector), "labels")]:
+        result = run_module(*args, "--map", fmap)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout, parse_int=str)[field] == labels
+    pretty = run_module("stretch", "--tensor", tensor, "--map", fmap, "--pretty")
+    assert (pretty.returncode, pretty.stderr) == (0, "")
+    assert pretty.stdout.split()[:12] == labels + [labels[0]]
+
+    # The enumeration map squares a 4,300-digit coordinate.
+    points = [[10 ** 4299, 0], [0, 1]]
+    explicit = write_json(tmp_path, "e.json", {
+        "index_set": {"kind": "explicit", "points": points}, "scalar": "gq",
+        "entries": [{"row": p, "col": p, "value": {"re": "1/1", "im": "0/1"}} for p in points]})
+    enum = write_json(tmp_path, "enum.json", {"kind": "enumeration"})
+    result = run_module("stretch", "--tensor", explicit, "--map", enum)
+    assert (result.returncode, result.stderr) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        values = sorted(enumerate_z(p) for p in points)
+        assert len(str(values[-1])) > 8000
+        assert json.loads(result.stdout)["row_labels"] == values
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -79,6 +79,10 @@ def test_oracle_single_cell():
     result = jordan_oracle(jordan_block(3, 0), [0])
     assert result.spec() == JordanSpec([(3, 0)])
     assert result.weyr(0) == (1, 2, 3)
+    # The result is a named tuple of its two fields.
+    assert result == (((gq(0), (1, 2, 3), (3,)),), 3) == (result.eigen_data, result.dimension)
+    assert repr(result) == ("JordanOracleResult(eigen_data=((gq(0, 0), (1, 2, 3), (3,)),), "
+                            "dimension=3)")
 
 
 def test_oracle_certifies_pair_cases():

@@ -321,6 +321,9 @@ def test_similarity_witness_equality():
     assert w != SimilarityWitness((2, 0, 1), permutation_matrix((0, 1, 2)))
     assert w != SimilarityWitness((0, 1, 2), w.matrix)
     assert w != w.perm and w != w.matrix
+    # A named tuple: equal to the plain tuple of its fields.
+    assert w == (w.perm, w.matrix) and tuple(w) == ((2, 0, 1), w.matrix)
+    assert repr(w) == "SimilarityWitness(perm=(2, 0, 1), matrix=DenseMatrix(gq, 3x3))"
 
 
 def test_tp_witness_with_two_swapped_entries_is_rejected():
@@ -349,6 +352,19 @@ def test_tp_witness_whose_perm_and_matrix_disagree_is_rejected():
     shifted = [(v + 1) % 6 for v in good.perm]
     assert not check_tp_witness(f, SimilarityWitness(good.perm,
                                                       permutation_matrix(shifted, GQ)))
+
+
+def test_tp_witness_whose_perm_is_wrong_is_rejected():
+    # The right matrix beside a wrong perm must not pass either: the CLI
+    # prints the perm as part of the verified witness.
+    dom = IndexSet.rectangular((2, 2))
+    f = IndexMap.from_table(dom, {(0, 0): 5, (1, 0): -1, (0, 1): 7, (1, 1): 0})
+    good = tp_similarity_witness(f)
+    assert good.perm == (2, 0, 3, 1) and check_tp_witness(f, good)
+    assert not check_tp_witness(f, SimilarityWitness((0, 1, 2, 3), good.matrix))
+    assert not check_tp_witness(f, SimilarityWitness((1, 3, 0, 2), good.matrix))
+    assert not check_tp_witness(f, SimilarityWitness((2, 0, 3), good.matrix))
+    assert not check_tp_witness(f, SimilarityWitness(None, good.matrix))
 
 
 def test_tp_witness_rejects_non_injective_and_non_rectangular():
