@@ -22,7 +22,7 @@ from .scalars import GQ
 from .stretching import (check_tp_witness, kappa, permute_stretch, stretch,
                          stretch_vector, tp_similarity_witness)
 from .tensors import act, average, convolve
-from .verify import SUITE_NAMES, min_trials, run_suite
+from .verify import SUITE_NAMES, run_suite, suite_error
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -94,11 +94,9 @@ def _tp_witness(args, fmap):
 
 
 def _verify(args):
-    if args.suite not in SUITE_NAMES:
-        raise ParseError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
-    least = min_trials(args.suite)
-    if args.trials < least:
-        raise ParseError(f"--trials must be at least {least}, got {args.trials}")
+    error = suite_error(args.suite, args.trials)
+    if error:
+        raise ParseError(error)
     seed = args.seed if args.seed is not None else _default_seed()
     report = run_suite(args.suite, args.trials, seed)
     return report, report["ok"]

@@ -104,7 +104,7 @@ def spec_matrix(spec: JordanSpec) -> DenseMatrix:
     n, entries = spec.dimension, []
     for start, size, eig in _cells(spec):
         diagonal = range(start * (n + 1), (start + size) * (n + 1), n + 1)
-        entries += [(p, eig) for p in diagonal] + [(p + 1, gq(1)) for p in diagonal[:-1]]
+        entries += [(p, eig) for p in diagonal] + [(p + 1, 1) for p in diagonal[:-1]]
     return square_matrix(GQ, n, entries)
 
 
@@ -175,7 +175,7 @@ def explicit_pair_matrix(c: JordanSpec, d: JordanSpec) -> DenseMatrix:
                     if j + 1 < v + q:
                         entries[at + m_dim] = a
                         if i + 1 < u + p:
-                            entries[at + m_dim + 1] = gq(1)
+                            entries[at + m_dim + 1] = 1
     return square_matrix(GQ, dim, entries.items(), tuple(range(dim)))
 
 

@@ -75,8 +75,8 @@ class DenseMatrix(Entries):
 
 
 def square_matrix(kind, n, pairs, labels=None) -> DenseMatrix:
-    """n x n matrix of ``kind`` holding the scalar of each ``(position,
-    scalar)`` pair, already of ``kind``, and zero elsewhere."""
+    """n x n matrix of ``kind`` holding the value of each ``(position, value)``
+    pair, admitted as ``Entries._fill`` admits it, and zero elsewhere."""
     if n < 1:
         raise DimensionError("matrix dimensions must be positive")
     return trusted(DenseMatrix, n_rows=n, n_cols=n, row_labels=labels,
@@ -420,8 +420,7 @@ def permutation_matrix(perm, kind=GQ) -> DenseMatrix:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise DimensionError("perm must be a permutation of 0..n-1")
-    one = coerce(1, kind)
-    return square_matrix(kind, n, [(p * n + i, one) for i, p in enumerate(perm)])
+    return square_matrix(kind, n, [(p * n + i, 1) for i, p in enumerate(perm)])
 
 
 matrices_close = data_close

@@ -25,6 +25,26 @@ _EXACT_TYPES = (int, Fraction)
 _F0 = Fraction(0)
 
 
+def _exact(value):
+    """``value`` as a GaussianRational if it is exact (a GaussianRational, an
+    int or a Fraction), else None: the one rule of what may enter exact data,
+    which :func:`coerce` and every operator of GaussianRational apply."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, _EXACT_TYPES):
+        return _raw(Fraction(value), _F0)
+    return None
+
+
+def _admitted(op):
+    """The operator ``op(self, o)`` with its other operand given through
+    :func:`_exact`; an operand that is not exact gets ``NotImplemented``."""
+    def method(self, other):
+        o = _exact(other)
+        return NotImplemented if o is None else op(self, o)
+    return method
+
+
 class GaussianRational:
     """Complex number with exact :class:`fractions.Fraction` components.
 
@@ -46,82 +66,33 @@ class GaussianRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    @classmethod
-    def _raw(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        v = object.__new__(cls)
-        v.re = re
-        v.im = im
-        return v
+    __add__ = __radd__ = _admitted(lambda a, b: _raw(a.re + b.re, a.im + b.im))
+    __sub__ = _admitted(lambda a, b: _raw(a.re - b.re, a.im - b.im))
+    __rsub__ = _admitted(lambda a, b: _raw(b.re - a.re, b.im - a.im))
+    __rtruediv__ = _admitted(lambda a, b: b / a)
+    # Assigning __eq__ keeps instances hashable: __hash__ is defined below.
+    __eq__ = _admitted(lambda a, b: a.re == b.re and a.im == b.im)
 
-    def _coerced(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, _EXACT_TYPES):
-            return GaussianRational._raw(Fraction(other), _F0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational._raw(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational._raw(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational._raw(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
+    @_admitted
+    def __mul__(self, o):
         if not self.im and not o.im:
-            return GaussianRational._raw(self.re * o.re, _F0)
-        return GaussianRational._raw(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+            return _raw(self.re * o.re, _F0)
+        return _raw(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
+    @_admitted
+    def __truediv__(self, o):
         if not o.im:
-            return GaussianRational._raw(self.re / o.re, self.im / o.re)
+            return _raw(self.re / o.re, self.im / o.re)
         d = o.re * o.re + o.im * o.im
-        return GaussianRational._raw(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return _raw((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
 
     def __neg__(self):
-        return GaussianRational._raw(-self.re, -self.im)
+        return _raw(-self.re, -self.im)
 
     def __pos__(self):
         return self
-
-    def __eq__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
 
     def __hash__(self):
         # A real value equals its Fraction, so it hashes like one.
@@ -139,7 +110,14 @@ class GaussianRational:
         return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
 
 
-_ZERO = GaussianRational._raw(_F0, _F0)
+def _raw(re: Fraction, im: Fraction) -> GaussianRational:
+    """The GaussianRational ``re + i*im`` of two Fractions, unchecked."""
+    v = object.__new__(GaussianRational)
+    v.re, v.im = re, im
+    return v
+
+
+_ZERO = _raw(_F0, _F0)
 
 
 def gq(re=0, im=0) -> GaussianRational:
@@ -154,11 +132,10 @@ def gq(re=0, im=0) -> GaussianRational:
 def coerce(value, kind: str):
     """Coerce ``value`` into the given kind, refusing cross-kind conversions."""
     if kind == GQ:
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, _EXACT_TYPES):
-            return GaussianRational(value)
-        raise VariantError(f"cannot place {type(value).__name__} into exact ('gq') data")
+        v = _exact(value)
+        if v is None:
+            raise VariantError(f"cannot place {type(value).__name__} into exact ('gq') data")
+        return v
     if kind == CF64:
         if isinstance(value, GaussianRational):
             raise VariantError("cannot place exact scalar into float ('cf64') data")
@@ -187,8 +164,8 @@ def scaled(re: int, im: int, den: int) -> GaussianRational:
     if not (re or im):
         return _ZERO
     if den == 1:
-        return GaussianRational._raw(Fraction(re), Fraction(im) if im else _F0)
-    return GaussianRational._raw(Fraction(re, den), Fraction(im, den) if im else _F0)
+        return _raw(Fraction(re), Fraction(im) if im else _F0)
+    return _raw(Fraction(re, den), Fraction(im, den) if im else _F0)
 
 
 def canonical(den, re, im) -> tuple:
@@ -232,12 +209,13 @@ class Entries:
     __slots__ = ("kind", "_k", "_data")
 
     def _fill(self, kind, count, pairs):
-        """Store ``count`` entries of ``kind``: the scalar of each ``(position,
-        scalar)`` pair, already of ``kind``, and zero elsewhere; returns ``self``.
-        Exact entries go over the lcm of the given denominators, which is the
-        canonical form since each scalar is in lowest terms."""
+        """Store ``count`` entries of ``kind``: the value of each ``(position,
+        value)`` pair, admitted through :func:`coerce` before the next pair is
+        read, and zero elsewhere; returns ``self``.  Exact entries go over the
+        lcm of the given denominators, which is the canonical form since each
+        admitted scalar is in lowest terms."""
         if kind == GQ:
-            pairs = list(pairs)
+            pairs = [(p, coerce(v, kind)) for p, v in pairs]
             den = lcm(*{v.re.denominator for _, v in pairs},
                       *{v.im.denominator for _, v in pairs})
             re, im = [0] * count, [0] * count
@@ -250,19 +228,21 @@ class Entries:
             raise VariantError(f"unknown scalar kind {kind!r}")
         values = [0j] * count
         for p, v in pairs:
-            values[p] = v
+            values[p] = coerce(v, kind)
         self.kind, self._data = kind, tuple(values)
         self._k = 1, self._data, None
         return self
 
     def _fill_dense(self, kind, count, data):
-        """Store ``data``, all ``count`` entries in position order, each
-        through :func:`coerce`; returns ``self``."""
-        data = [coerce(v, kind) for v in data]
+        """Store ``data``, all ``count`` entries in position order; returns
+        ``self``.  Every value is admitted before the count is checked, so a
+        wrong kind is reported before a wrong count."""
+        data = list(data)
+        self._fill(kind, len(data), enumerate(data))
         if len(data) != count:
             raise DimensionError(
                 f"{type(self).__name__} needs {count} entries, got {len(data)}")
-        return self._fill(kind, count, enumerate(data))
+        return self
 
     @property
     def data(self) -> tuple:

@@ -15,7 +15,7 @@ from .errors import DomainError
 from .indexing import IndexMap, Permutation
 from .linalg import (DenseMatrix, DenseVector, det, mat_mul, matrices_close,
                      permutation_matrix, square_matrix)
-from .scalars import GQ, coerce, stored, take
+from .scalars import GQ, stored, take
 from .tensors import Tensor, TensorVector, average, fold, require_domain
 
 
@@ -139,8 +139,7 @@ def verify_averaging_decomposition(t: Tensor, fmap: IndexMap) -> dict:
         _, re, im = stretch(indicator, fmap)._k
         indicator_rank += [p for p, (x, y) in enumerate(zip(re, im)) if x or y] == [cell]
 
-    d = square_matrix(t.kind, n_cls, [(i * (n_cls + 1), coerce(size, t.kind))
-                                      for i, size in enumerate(part.sizes)])
+    d = square_matrix(t.kind, n_cls, [(i * (n_cls + 1), c) for i, c in enumerate(part.sizes)])
     raw_expected = mat_mul(mat_mul(d, base), d)
     raw_stretched = stretch(average(t, fmap, normalized=False), fmap)
     raw_conjugation = matrices_close(raw_stretched, raw_expected)

@@ -15,7 +15,7 @@ from operator import attrgetter, mul
 from .errors import DomainError
 from .indexing import IndexMap, IndexSet
 from .linalg import kron, product, require_matrices, require_same_kind, require_type
-from .scalars import GQ, Entries, coerce, data_close, stored, take, trusted
+from .scalars import GQ, Entries, data_close, stored, take, trusted
 
 
 class Tensor(Entries):
@@ -32,9 +32,8 @@ class Tensor(Entries):
     def from_entries(cls, domain, kind, entries) -> "Tensor":
         """Build from {(row_point, col_point): value}; missing entries are zero."""
         n, position = len(domain), domain.position
-        # Coerce, then place: a wrong kind is reported before an outside point.
-        pairs = [(position(pi) * n + position(pj), v)
-                 for (pi, pj), v in dict(entries).items() for v in (coerce(v, kind),)]
+        # A generator: _fill admits each entry before the next one is placed.
+        pairs = ((position(pi) * n + position(pj), v) for (pi, pj), v in dict(entries).items())
         return trusted(cls, domain=domain)._fill(kind, n * n, pairs)
 
     @property
@@ -62,8 +61,7 @@ class TensorVector(Tensor):
 
     @classmethod
     def from_entries(cls, domain, kind, entries) -> "TensorVector":
-        pairs = [(domain.position(p), v)
-                 for p, v in dict(entries).items() for v in (coerce(v, kind),)]
+        pairs = ((domain.position(p), v) for p, v in dict(entries).items())
         return trusted(cls, domain=domain)._fill(kind, len(domain), pairs)
 
     def at(self, point):

@@ -273,18 +273,23 @@ _SUITES = {
 }
 
 
-def min_trials(name: str) -> int:
-    """Smallest trial count a suite takes; 0 runs jordan's exhaustive cell grid."""
-    return 0 if name == "jordan" else 1
+def suite_error(name: str, trials: int):
+    """What is wrong with running ``trials`` trials of suite ``name``, or None:
+    an unknown suite, or fewer than 1 trial (0 runs jordan's exhaustive cell
+    grid).  ``run_suite`` raises it as a DomainError, the CLI as a ParseError."""
+    if name not in SUITE_NAMES:
+        return f"unknown suite {name!r}; choose from {SUITE_NAMES}"
+    least = 0 if name == "jordan" else 1
+    if trials < least:
+        return f"--trials must be at least {least}, got {trials}"
+    return None
 
 
 def run_suite(name: str, trials: int, seed: int) -> dict:
     """Run one suite; report pass/fail counts, deterministic in the seed."""
-    if name not in SUITE_NAMES:
-        raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if trials < min_trials(name):
-        raise DomainError(f"suite {name!r} needs a trial count of at least "
-                          f"{min_trials(name)}, got {trials}")
+    error = suite_error(name, trials)
+    if error:
+        raise DomainError(error)
     rng = random.Random(seed)
     checks = (_jordan(trials, rng) if name == "jordan"
               else _tally(trials, rng, _SUITES[name]))

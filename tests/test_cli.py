@@ -332,6 +332,15 @@ def test_run_suite_rejects_trial_counts_the_cli_rejects():
     assert run_suite("jordan", 0, 0)["checks"][0]["details"]["exhaustive"]
 
 
+def test_run_suite_raises_the_cli_messages_as_domain_errors():
+    with pytest.raises(DomainError, match="unknown suite 'nosuch'; choose from"):
+        run_suite("nosuch", 1, 0)
+    with pytest.raises(DomainError, match="^--trials must be at least 1, got -5$"):
+        run_suite("homomorphism", -5, 0)
+    with pytest.raises(DomainError, match="^--trials must be at least 0, got -1$"):
+        run_suite("jordan", -1, 0)
+
+
 def test_verify_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("STRETCHKIT_SEED", "42")
     code, out, _ = run_cli(["verify", "averaging", "--trials", "3"], capsys)

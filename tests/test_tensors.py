@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stretchkit import tensors
+from stretchkit import scalars
 from stretchkit.errors import DimensionError, DomainError, VariantError
 from stretchkit.indexing import IndexMap, IndexSet
 from stretchkit.jordan import jordan_oracle
@@ -354,7 +354,7 @@ def test_wrong_shape_operands_raise(call, message):
 
 def test_from_entries_coerces_each_given_entry_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(tensors, "coerce", lambda v, kind: calls.append(v) or coerce(v, kind))
+    monkeypatch.setattr(scalars, "coerce", lambda v, kind: calls.append(v) or coerce(v, kind))
     dom = IndexSet.rectangular((4, 4))
     t = Tensor.from_entries(dom, GQ, {((0, 0), (1, 1)): 2, ((3, 3), (0, 2)): gq(1, -1)})
     assert len(calls) == 2
