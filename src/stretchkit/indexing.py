@@ -45,14 +45,18 @@ class IndexSet:
 
     @classmethod
     def rectangular(cls, dims) -> "IndexSet":
+        """The box of ``dims``, whose points are built distinct, of ints and
+        in canonical order: none is checked or sorted again."""
         dims = tuple(map(index, dims))
         if not dims or any(n < 1 for n in dims):
             raise DomainError(f"rectangular dims must be positive, got {dims}")
         points = [()]
         for n in dims:  # first coordinate fastest
             points = [p + (c,) for c in range(n) for p in points]
-        s = cls(points)
-        s.dims = dims
+        s = object.__new__(cls)
+        s.points = points = tuple(points)
+        s._pos = {p: i for i, p in enumerate(points)}
+        s.arity, s.dims = len(dims), dims
         return s
 
     @classmethod

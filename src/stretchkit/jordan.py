@@ -2,9 +2,10 @@
 
 The closed forms cover a product of two cells in four cases depending on
 which eigenvalues vanish, extend to arbitrary direct sums by distributing
-over block pairs, and to n factors by folding pairwise.  Every closed form
-is independently certifiable through an exact rank oracle (Weyr sequences of
-nullities), which never trusts the formulas it checks.
+over pairs of distinct eigenvalues and their cells, and to n factors by
+folding pairwise.  Every closed form is independently certifiable through an
+exact rank oracle (Weyr sequences of nullities), which never trusts the
+formulas it checks.
 
 When exactly one factor is nilpotent, the product's spectrum is forced to
 {0}: the closed form emits nilpotent blocks even though the naive reading of
@@ -13,7 +14,7 @@ oracle certifies this choice on every run.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from functools import reduce
 from operator import index
 
@@ -108,36 +109,64 @@ def spec_matrix(spec: JordanSpec) -> DenseMatrix:
     return square_matrix(GQ, n, entries)
 
 
+def _add_cell_products(tallies, a, cells1, b, cells2):
+    """Add to ``tallies`` ({eigenvalue: {size: count}}) the blocks of
+    J_p(a) x J_q(b), times m * n, for each (p, m) of ``cells1`` and (q, n) of
+    ``cells2``.  The eigenvalue is a * b, or 0 (the vanishing factor itself)
+    when a or b is 0; it is computed and looked up once for all the cells."""
+    nonzero_a, nonzero_b = bool(a), bool(b)
+    eig = a * b if nonzero_a and nonzero_b else b if nonzero_a else a
+    sizes = tallies.setdefault(eig, defaultdict(int))
+    for p, m in cells1:
+        for q, n in cells2:
+            mn = m * n
+            if nonzero_a and nonzero_b:
+                for size in range(p + q - 1, abs(p - q), -2):
+                    sizes[size] += mn
+            elif nonzero_a:
+                sizes[q] += p * mn
+            elif nonzero_b:
+                sizes[p] += q * mn
+            else:
+                lo = min(p, q)
+                for size in range(1, lo):
+                    sizes[size] += 2 * mn
+                sizes[lo] += (abs(p - q) + 1) * mn
+
+
 def jordan_pair(p: int, a, q: int, b) -> JordanSpec:
     """Jordan type of the stretched product of the cells J_p(a) and J_q(b)."""
     if p < 1 or q < 1:
         raise DimensionError("Jordan cell sizes must be positive")
-    a = coerce(a, GQ)
-    b = coerce(b, GQ)
-    lo = min(p, q)
-    if a and b:
-        eig, sizes = a * b, {p + q - 2 * k + 1: 1 for k in range(1, lo + 1)}
-    elif a:
-        eig, sizes = gq(0), {q: p}
-    elif b:
-        eig, sizes = gq(0), {p: q}
-    else:
-        eig, sizes = gq(0), {k: 2 for k in range(1, lo)}
-        sizes[lo] = abs(p - q) + 1
-    return trusted(JordanSpec, counts=_canonical({eig: sizes}))
+    tallies = {}
+    _add_cell_products(tallies, coerce(a, GQ), ((p, 1),), coerce(b, GQ), ((q, 1),))
+    return trusted(JordanSpec, counts=_canonical(tallies))
+
+
+def _by_eigenvalue(spec: JordanSpec):
+    """``(eigenvalue, [(size, count), ...])`` per distinct eigenvalue of
+    ``spec``, whose counts keep one eigenvalue's blocks together under one
+    object (a key of :func:`_canonical`'s tally); a group split in two would
+    still add to the same product tallies."""
+    groups = []
+    for (size, eig), count in spec.counts:
+        if not groups or groups[-1][0] is not eig:
+            groups.append((eig, []))
+        groups[-1][1].append((size, count))
+    return groups
 
 
 def jordan_product(s1: JordanSpec, s2: JordanSpec) -> JordanSpec:
-    """Distribute over direct sums: resolve each distinct block pair once and
-    add its blocks with the product of the two counts."""
-    tally = {}
-    for (p, a), m in s1.counts:
-        for (q, b), n in s2.counts:
-            pair = jordan_pair(p, a, q, b).counts
-            sizes = tally.setdefault(pair[0][0][1], {})
-            for (size, _), k in pair:
-                sizes[size] = sizes.get(size, 0) + m * n * k
-    return trusted(JordanSpec, counts=_canonical(tally))
+    """Distribute over direct sums, one pair (a, b) of distinct eigenvalues
+    at a time: its product is computed once, and the blocks of each pair of
+    its cells, times both counts, go into that product's integer size tally,
+    shared by every pair with an equal product.  The counts are built once,
+    at the end, so no scalar is touched per block pair."""
+    tallies, groups2 = {}, _by_eigenvalue(s2)
+    for a, cells1 in _by_eigenvalue(s1):
+        for b, cells2 in groups2:
+            _add_cell_products(tallies, a, cells1, b, cells2)
+    return trusted(JordanSpec, counts=_canonical(tallies))
 
 
 def _factors(specs) -> list:
@@ -149,7 +178,8 @@ def _factors(specs) -> list:
 
 
 def jordan_nfold(specs) -> JordanSpec:
-    """Left fold of :func:`jordan_product`; the result is order-independent."""
+    """Left fold of :func:`jordan_product` over counts, so its cost follows
+    the distinct blocks, not the block total; the result is order-independent."""
     return reduce(jordan_product, _factors(specs))
 
 

@@ -211,15 +211,15 @@ class Entries:
     def _fill(self, kind, count, pairs):
         """Store ``count`` entries of ``kind``: the value of each ``(position,
         value)`` pair, admitted through :func:`coerce` before the next pair is
-        read, and zero elsewhere; returns ``self``.  Exact entries go over the
-        lcm of the given denominators, which is the canonical form since each
-        admitted scalar is in lowest terms."""
+        read, and zero elsewhere; a position given twice keeps its last value.
+        Exact entries go over the lcm of the kept values' denominators, which
+        is the canonical form since each admitted scalar is in lowest terms."""
         if kind == GQ:
-            pairs = [(p, coerce(v, kind)) for p, v in pairs]
-            den = lcm(*{v.re.denominator for _, v in pairs},
-                      *{v.im.denominator for _, v in pairs})
+            kept = {p: coerce(v, kind) for p, v in pairs}
+            values = kept.values()
+            den = lcm(*{v.re.denominator for v in values}, *{v.im.denominator for v in values})
             re, im = [0] * count, [0] * count
-            for p, v in pairs:
+            for p, v in kept.items():
                 re[p] = v.re.numerator * (den // v.re.denominator)
                 im[p] = v.im.numerator * (den // v.im.denominator)
             self.kind, self._k, self._data = kind, (den, tuple(re), tuple(im)), None

@@ -132,6 +132,18 @@ def test_square_matrix_admits_its_values():
     assert '"re": 1.0' in sz.dumps(sz.matrix_to_json(m))
 
 
+@pytest.mark.parametrize("kind", [GQ, CF64])
+def test_a_repeated_position_keeps_its_last_value_in_the_stored_form(kind):
+    # The replaced value's denominator must not reach the stored form.
+    first = Fraction(1, 3) if kind == GQ else 0.5
+    got = square_matrix(kind, 2, [(0, first), (3, 2), (0, 1), (1, first), (1, 0)])
+    want = DenseMatrix(kind, 2, 2, [1, 0, 0, 2])
+    assert got == want and got._k == want._k and got.data == want.data
+    # A replaced value is still admitted before the next pair is read.
+    with pytest.raises(VariantError, match="cannot place"):
+        square_matrix(kind, 1, [(0, "x"), (0, 1)])
+
+
 def test_errors_keep_their_order_across_entries():
     inside, outside = (0,), (9,)
     # Each entry is placed and admitted before the next one is read.

@@ -32,6 +32,35 @@ def test_explicit_sorting_matches_rectangular_order():
     assert shuffled == rect  # equality is pointwise
 
 
+@pytest.mark.parametrize("dims", [(1,), (5,), (2, 3), (3, 1, 2), (2, 2, 1, 3)])
+def test_rectangular_set_is_the_explicit_set_of_its_points(dims):
+    # rectangular builds its points in canonical order without the explicit
+    # checks and sort; the explicit set of the same points, given shuffled,
+    # must agree with it position by position.
+    points = list(itertools.product(*map(range, dims)))
+    random.Random(len(points)).shuffle(points)
+    rect, explicit = IndexSet.rectangular(dims), IndexSet.explicit(points)
+    assert rect == explicit and rect.points == explicit.points
+    assert rect.arity == explicit.arity == len(dims) and len(rect) == len(points)
+    for pos, p in enumerate(explicit.points):
+        assert rect.position(p) == explicit.position(p) == pos
+        assert all(type(c) is int for c in rect.points[pos])
+    with pytest.raises(DomainError, match=r"point \(-1,\) is not in the index set"):
+        rect.position((-1,))
+
+
+@pytest.mark.parametrize("dims, error, message", [
+    ((), DomainError, r"rectangular dims must be positive, got \(\)"),
+    ((0,), DomainError, r"rectangular dims must be positive, got \(0,\)"),
+    ((2, -1), DomainError, r"rectangular dims must be positive, got \(2, -1\)"),
+    ((2.0,), TypeError, "integer"),
+    (("2",), TypeError, "integer"),
+])
+def test_rectangular_rejects_bad_dims(dims, error, message):
+    with pytest.raises(error, match=message):
+        IndexSet.rectangular(dims)
+
+
 def test_constructor_sorts_points_like_explicit():
     # Every index set holds its points in the canonical order, however given.
     given = [(1, 0), (0, 0)]

@@ -134,6 +134,54 @@ def test_counted_product_matches_the_expanded_pairwise_loop(b1, b2):
                                              key=lambda e: (e.re, e.im)))
 
 
+def test_pair_matches_the_reference_on_the_full_grid():
+    for p in range(1, 6):
+        for q in range(1, 6):
+            for a in EIGENVALUES:
+                for b in EIGENVALUES:
+                    expected = ref_canonical(ref_pair_blocks(p, a, q, b))
+                    assert jordan_pair(p, a, q, b).blocks == expected, (p, a, q, b)
+
+
+I = gq(0, 1)
+# Factors as block lists.  Distinct eigenvalue pairs with one product:
+# 1*(-2) and (-2)*1, i*i and (-1)*1, i*1 and 1*i, and 0 with anything.
+COLLIDING = (
+    [(2, gq(1)), (1, gq(-2)), (3, I), (1, gq(-1)), (2, gq(-2))],
+    [(1, gq(-2)), (2, gq(1)), (2, I), (1, gq(1)), (3, gq(1))],
+)
+CLOSED_FORM_CASES = {
+    "colliding": COLLIDING,
+    # Twelve cell pairs, eight products: -2, -1, -2i and i each arise twice.
+    "colliding-cells": ([(1, gq(1)), (1, gq(-2)), (1, I), (1, gq(-1))],
+                        [(1, gq(-2)), (1, gq(1)), (1, I)]),
+    "colliding-with-zeros": ([(2, gq(0))] + COLLIDING[0],
+                             COLLIDING[1] + [(3, gq(0)), (1, gq(0))]),
+    "zero-nonzero": ([(3, gq(0)), (1, gq(0))], [(2, gq(5)), (4, I), (2, gq(5))]),
+    "nonzero-zero": ([(2, gq("1/2")), (1, gq(1, -1))], [(3, gq(0)), (3, gq(0))]),
+    "zero-zero": ([(3, gq(0)), (2, gq(0)), (3, gq(0))], [(3, gq(0)), (1, gq(0)), (5, gq(0))]),
+    "equal-sizes": ([(2, gq(3)), (2, gq(0)), (2, gq(-2))], [(2, gq(3)), (2, gq(0))]),
+    "unequal-sizes": ([(5, gq(3)), (1, gq(0)), (4, gq("-3/2", "2/3"))],
+                      [(2, gq("-3/2", "2/3")), (3, gq(0)), (1, gq(-1))]),
+    "single-nonzero": ([(4, gq(2))], [(3, gq(-1))]),
+    "single-one-zero": ([(4, gq(0))], [(3, I)]),
+    "single-both-zero": ([(2, gq(0))], [(5, gq(0))]),
+    "single-times-sum": ([(3, gq(-1))], [(2, gq(1)), (1, I), (3, gq(0)), (2, gq(-1))]),
+}
+
+
+@pytest.mark.parametrize("b1, b2", list(CLOSED_FORM_CASES.values()), ids=list(CLOSED_FORM_CASES))
+def test_product_matches_the_reference_on_fixed_cases(b1, b2):
+    for left, right in ((b1, b2), (b2, b1)):
+        expected = ref_product(left, right)
+        got = jordan_product(JordanSpec(left), JordanSpec(right))
+        # Equal products share one count: the counts are those of the blocks.
+        assert got.blocks == expected and got.counts == JordanSpec(expected).counts
+    three = [b1, b2, b1]
+    expected = reduce(ref_product, three[1:], ref_canonical(three[0]))
+    assert jordan_nfold([JordanSpec(b) for b in three]).blocks == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(EIGENVALUES)),
                          min_size=1, max_size=3), min_size=1, max_size=4))

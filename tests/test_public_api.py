@@ -3,6 +3,7 @@ import functools
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,15 @@ def test_every_export_resolves_and_appears_once():
     names = stretchkit.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(stretchkit, n)] == []
+
+
+def test_readme_names_every_export_as_a_code_span():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = re.sub(r"^```.*?^```", "", f.read(), flags=re.S | re.M)  # fenced blocks
+    spans = set(re.findall(r"`([^`\n]+)`", text))
+    assert [n for n in stretchkit.__all__ if n not in spans] == []
 
 
 def test_star_import_binds_every_export():
