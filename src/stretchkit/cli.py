@@ -17,7 +17,7 @@ from . import serialize as sz
 from .errors import (DimensionError, DomainError, ParseError,
                      PermutationDomainError, VariantError)
 from .indexing import Permutation
-from .jordan import jordan_nfold, nfold_oracle
+from .jordan import JordanSpec, jordan_nfold, nfold_oracle
 from .scalars import GQ
 from .stretching import (check_tp_witness, kappa, permute_stretch, stretch,
                          stretch_vector, tp_similarity_witness)
@@ -70,14 +70,10 @@ def _jordan(args):
     specs = sz.jordan_spec_list_from_json(sz.load_json_file(args.spec), path="specs")
     result = jordan_nfold(specs)
     if not args.verify:
-        return sz.jordan_spec_to_json(result), True
+        return result, True
     oracle_spec = nfold_oracle(specs)
-    report = {
-        "closed_form": sz.jordan_spec_to_json(result),
-        "oracle": sz.jordan_spec_to_json(oracle_spec),
-        "agree": result == oracle_spec,
-    }
-    return report, report["agree"]
+    agree = result == oracle_spec
+    return {"closed_form": result, "oracle": oracle_spec, "agree": agree}, agree
 
 
 def _tp_witness(args, fmap):
@@ -103,20 +99,21 @@ def _verify(args):
 
 
 # Each command: help, flags in order (keys of _FLAGS; every command also takes
-# --out and --pretty) and a run from (args, *operands, map) to the output JSON
-# and whether it verified.  A run is a lambda or a function of this module, so
-# it looks library functions up per call and sees functions a tracer swaps.
+# --out and --pretty) and a run from (args, *operands, map) to the output (a
+# JSON tree, or a tensor or Jordan type that sz.dumps writes) and whether it
+# verified.  A run is a lambda or a function of this module, so it looks
+# library functions up per call and sees functions a tracer swaps.
 _COMMANDS = {
     "stretch": ("stretch a tensor to a labelled matrix", ("tensor", "map"), lambda args, t, m: (
         sz.matrix_to_json(stretch(t, m)), True)),
     "stretch-vector": ("stretch a vector", ("vector", "map"), lambda args, v, m: (
         sz.vector_to_json(stretch_vector(v, m)), True)),
     "convolve": ("convolution product of two tensors", ("left", "right", "map"),
-                 lambda args, a, b, m: (sz.tensor_to_json(convolve(a, b, m)), True)),
+                 lambda args, a, b, m: (convolve(a, b, m), True)),
     "act": ("act with a tensor on a vector", ("tensor", "vector", "map"), lambda args, t, v, m: (
-        sz.tensor_vector_to_json(act(t, v, m)), True)),
+        act(t, v, m), True)),
     "average": ("class-averaging of a tensor", ("tensor", "map", "raw"), lambda args, t, m: (
-        sz.tensor_to_json(average(t, m, normalized=not args.raw)), True)),
+        average(t, m, normalized=not args.raw), True)),
     "kappa": ("determinant of the stretched matrix", ("tensor", "map"), lambda args, t, m: (
         {"scalar": t.kind, "value": sz.scalar_to_json(kappa(t, m), t.kind)}, True)),
     "permute": ("stretch through a permuted map", ("tensor", "map", "sigma"), lambda args, t, m: (
@@ -175,9 +172,9 @@ def _pretty_matrix(obj) -> str:
 def _pretty(obj) -> str:
     if isinstance(obj, dict) and {"rows", "cols", "data"} <= obj.keys():
         return _pretty_matrix(obj)
-    if isinstance(obj, dict) and "blocks" in obj:
-        parts = [f"J{b['size']}({_cell(b['eigenvalue'], GQ)})" for b in obj["blocks"]]
-        return " + ".join(parts) + "\n"
+    if isinstance(obj, JordanSpec):  # each distinct block's text once, repeated by its count
+        return " + ".join(" + ".join([f"J{size}({_cell(sz.scalar_to_json(eig, GQ), GQ)})"] * count)
+                          for (size, eig), count in obj.counts) + "\n"
     if isinstance(obj, dict) and "checks" in obj:
         lines = [f"suite {obj['suite']} (seed {obj['seed']}, trials {obj['trials']})"]
         for check in obj["checks"]:

@@ -7,12 +7,15 @@ indent=2)`` plus a newline gives.  It does not call ``json.dumps`` because
 any ``indent`` switches CPython to its pure-Python encoder: :func:`dumps`
 joins strings per container instead, escapes strings with the C
 ``encode_basestring_ascii`` and renders each distinct list of plain ints
-once per depth (a tensor repeats each row, column and point list n times).
+once per depth.  A tensor, vector or Jordan type is written straight from
+its stored form, as text equal to that of its ``*_to_json`` payload: each
+point list and each distinct value or Jordan block is rendered once.
 
 Parse failures raise :class:`~stretchkit.errors.ParseError` with the
 offending field in the message.  Each tensor or vector entry is read once,
 and only a failing entry gets the path that names it.  Within one tensor or
-vector each distinct exact value string pair is parsed once.
+vector each distinct fraction string is parsed once, and each distinct
+``(re, im)`` string pair gives one shared value.
 """
 from __future__ import annotations
 
@@ -22,12 +25,13 @@ import sys
 from cmath import isfinite
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .errors import DimensionError, DomainError, ParseError, VariantError
 from .indexing import IndexMap, IndexSet
 from .jordan import JordanSpec
 from .linalg import DenseMatrix, DenseVector
-from .scalars import GQ, KINDS, GaussianRational
+from .scalars import CF64, GQ, KINDS, GaussianRational, _raw
 from .tensors import Tensor, TensorVector
 
 _FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
@@ -86,8 +90,9 @@ def scalar_to_json(value, kind: str) -> dict:
 
 def scalar_from_json(obj, kind: str, path: str, memo=None):
     """The scalar of ``kind`` in ``obj``; a failure names ``path``.  A
-    ``memo`` dict keeps each exact value by its ``(re, im)`` strings, so a
-    repeated pair is parsed once and its value shared."""
+    ``memo`` dict keeps each exact value by its ``(re, im)`` strings and each
+    fraction string's Fraction, so a repeated pair shares one value and a
+    repeated string is parsed once."""
     try:  # any JSON value but an object raises TypeError here
         re_part, im_part = obj["re"], obj["im"]
     except (KeyError, TypeError):
@@ -98,7 +103,9 @@ def scalar_from_json(obj, kind: str, path: str, memo=None):
                                     fraction_from_str(im_part, f"{path}.im"))
         value = memo.get((re_part, im_part))
         if value is None:
-            value = memo[re_part, im_part] = scalar_from_json(obj, kind, path)
+            # Both parts are Fractions in lowest terms, as _raw takes them.
+            value = memo[re_part, im_part] = _raw(
+                _fraction(re_part, path, ".re", memo), _fraction(im_part, path, ".im", memo))
         return value
     # Subclasses of int and float pass; JSON true/false (bool) do not.
     if (type(re_part) not in _NUMBER or type(im_part) not in _NUMBER) and (
@@ -111,6 +118,13 @@ def scalar_from_json(obj, kind: str, path: str, memo=None):
     except OverflowError:
         pass
     raise ParseError(f"{path}: cf64 components must be finite")
+
+
+def _fraction(text: str, path: str, part: str, memo: dict) -> Fraction:
+    f = memo.get(text)
+    if f is None:
+        f = memo[text] = fraction_from_str(text, path + part)
+    return f
 
 
 def _require(obj, key, path, types=None):
@@ -333,7 +347,9 @@ def dumps(obj) -> str:
 
     Byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for
     a tree of dicts with string keys, lists, tuples, strings, ints, floats,
-    booleans and None; anything else raises ``TypeError``.
+    booleans and None, where a Tensor, TensorVector or JordanSpec stands for
+    its ``tensor_to_json`` or ``jordan_spec_to_json`` payload (and raises the
+    VariantError that gives); anything else raises ``TypeError``.
     """
     return exact_text(_render, obj, "\n", {}) + "\n"
 
@@ -385,7 +401,60 @@ def _render(obj, nl: str, memo: dict) -> str:
         return "null"
     if kind is bool:
         return "true" if obj else "false"
+    if kind in _PAYLOADS:
+        return _PAYLOADS[kind](obj, nl, memo)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _tensor_text(t, nl: str, memo: dict) -> str:
+    """Text of ``tensor_to_json(t)`` from ``t._k``: a template per nonzero
+    entry, filled with its point texts, each rendered once, and its value
+    text, made once per distinct exact value (float: where most repeat)."""
+    i1, i2, i3, i4 = (nl + "  " * depth for depth in range(1, 5))
+    points = [_render(p, i3, memo) for p in t.domain.points]
+    head, tail = f'{{{i3}"{_FIELDS[type(t)][-1]}": ', f"{i2}}}"
+    rows = ([f',{i3}"row": {p},{i3}"value": ' for p in points] if type(t) is Tensor
+            else [f',{i3}"value": '])
+    keys = product(rows, points)  # (row text, column text) in position order
+    den, re, im = t._k
+    if im is None:
+        def text(v):
+            return f'{{{i4}"im": {v.imag!r},{i4}"re": {v.real!r}{i3}}}{tail}'
+        if not all(map(isfinite, re)):  # scalar_to_json raises VariantError
+            scalar_to_json(next(v for v in re if not isfinite(v)), CF64)
+        # Where most values repeat (class means do), each distinct one shares
+        # its text; -0.0 == 0.0, so a value with a zero part does not.
+        distinct = set(re)
+        texts = ({v: text(v) for v in distinct if v.real and v.imag}
+                 if 2 * len(distinct) <= len(re) else {})
+        entries = [f"{head}{col}{row}{texts.get(v) or text(v)}"
+                   for (row, col), v in zip(keys, re) if v]
+    else:
+        def part(x):
+            g = gcd(x, den)
+            return f'"{x // g}/{den // g}"'
+        texts = {pair: f'{{{i4}"im": {part(pair[1])},{i4}"re": {part(pair[0])}{i3}}}{tail}'
+                 for pair in set(zip(re, im))}
+        texts[0, 0] = ""
+        entries = [f"{head}{col}{row}{text}" for (row, col), text in
+                   zip(keys, map(texts.__getitem__, zip(re, im))) if text]
+    body = f"[{i2}{f',{i2}'.join(entries)}{i1}]" if entries else "[]"
+    return (f'{{{i1}"entries": {body},{i1}"index_set": '
+            f'{_render(index_set_to_json(t.domain), i1, memo)},{i1}"scalar": '
+            f'{_ESCAPE(t.kind)}{nl}}}')
+
+
+def _spec_text(s, nl: str, memo: dict) -> str:
+    """Text of ``jordan_spec_to_json(s)``: each distinct block of ``s.counts``
+    is rendered once and repeated by its count."""
+    i1, i2, i3 = (nl + "  " * depth for depth in range(1, 4))
+    blocks = f",{i2}".join(f",{i2}".join([
+        f'{{{i3}"eigenvalue": {_render(scalar_to_json(eig, GQ), i3, memo)},{i3}"size": '
+        f'{int.__repr__(size)}{i2}}}'] * count) for (size, eig), count in s.counts)
+    return f'{{{i1}"blocks": [{i2}{blocks}{i1}]{nl}}}'
+
+
+_PAYLOADS = {Tensor: _tensor_text, TensorVector: _tensor_text, JordanSpec: _spec_text}
 
 
 def load_json_file(path):

@@ -31,10 +31,10 @@ class Tensor(Entries):
     @classmethod
     def from_entries(cls, domain, kind, entries) -> "Tensor":
         """Build from {(row_point, col_point): value}; missing entries are zero."""
-        n, position = len(domain), domain.position
+        n, pos = len(domain), domain._pos
         # A generator: _fill admits each entry before the next one is placed.
-        pairs = ((position(pi) * n + position(pj), v) for (pi, pj), v in dict(entries).items())
-        return trusted(cls, domain=domain)._fill(kind, n * n, pairs)
+        pairs = ((pos[pi] * n + pos[pj], v) for (pi, pj), v in dict(entries).items())
+        return _placed(cls, domain, kind, n * n, pairs)
 
     @property
     def size(self) -> int:
@@ -61,11 +61,21 @@ class TensorVector(Tensor):
 
     @classmethod
     def from_entries(cls, domain, kind, entries) -> "TensorVector":
-        pairs = ((domain.position(p), v) for p, v in dict(entries).items())
-        return trusted(cls, domain=domain)._fill(kind, len(domain), pairs)
+        pairs = ((domain._pos[p], v) for p, v in dict(entries).items())
+        return _placed(cls, domain, kind, len(domain), pairs)
 
     def at(self, point):
         return self.data[self.domain.position(point)]
+
+
+def _placed(cls, domain, kind, count, pairs):
+    """A ``cls`` on ``domain`` holding ``pairs`` (see ``Entries._fill``), whose
+    positions were looked up in ``domain._pos`` by point tuple."""
+    try:
+        return trusted(cls, domain=domain)._fill(kind, count, pairs)
+    except KeyError as exc:  # a point outside the domain: position() raises its DomainError
+        domain.position(exc.args[0])
+        raise
 
 
 def require_domain(fmap: IndexMap, obj, cls=Tensor):

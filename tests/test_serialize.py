@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from stretchkit import serialize as sz
 from stretchkit.errors import DomainError, ParseError, VariantError
 from stretchkit.indexing import IndexMap, IndexSet
-from stretchkit.jordan import JordanSpec
+from stretchkit.jordan import JordanSpec, jordan_nfold
 from stretchkit.linalg import DenseMatrix, DenseVector
 from stretchkit.scalars import CF64, GQ, gq
-from stretchkit.tensors import Tensor, TensorVector
+from stretchkit.tensors import Tensor, TensorVector, average, convolve
 from stretchkit.verify import rand_rect_set, rand_tensor
 
 
@@ -397,6 +397,93 @@ def test_fraction_strings_parse_as_before():
             sz.fraction_from_str(bad, "x")
     with pytest.raises(ParseError, match="zero denominator in '-3/00'"):
         sz.fraction_from_str("-3/00", "x")
+
+
+# -- tensors and Jordan types written straight from their stored form -----
+
+_BIG = 10 ** 4400  # past Python's default int/str digit limit
+_PARTS = st.integers(-9, 9) | st.integers(-9, 9).map(lambda k: k * _BIG + 1)
+_GQ_VALUES = st.builds(lambda a, b, d: gq(Fraction(a, d), Fraction(b, d)),
+                       _PARTS, _PARTS, st.integers(1, 6))
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.5e-308, 1e308, -1e308])
+_CF64_VALUES = st.builds(complex, _FLOATS, _FLOATS)
+_DOMAINS = (st.lists(st.integers(1, 3), min_size=1, max_size=3).map(IndexSet.rectangular)
+            | st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1,
+                       max_size=5, unique=True).map(IndexSet.explicit))
+
+
+@st.composite
+def _stored(draw):
+    """A tensor or vector of either kind whose values come from a small pool
+    (so they repeat, as class means do), from anywhere, or are all zero."""
+    domain, cls, kind = (draw(_DOMAINS), draw(st.sampled_from([Tensor, TensorVector])),
+                         draw(st.sampled_from([GQ, CF64])))
+    values = _GQ_VALUES if kind == GQ else _CF64_VALUES
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    count = len(domain) ** 2 if cls is Tensor else len(domain)
+    if draw(st.booleans()):
+        values = st.sampled_from(pool + [0])
+    data = draw(st.lists(values | st.just(0), min_size=count, max_size=count))
+    return cls(domain, kind, [0] * count if draw(st.integers(0, 9)) == 0 else data)
+
+
+_SPECS = st.lists(st.tuples(st.integers(1, 4), st.sampled_from(
+    [gq(0), gq(-1), gq("3/2"), gq("-1/3", 2), gq(_BIG, -_BIG)])), min_size=1, max_size=8).map(
+    JordanSpec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stored(), st.integers(0, 2))
+@example(TensorVector(IndexSet.explicit([(0, 0)]), CF64, [0]), 0)
+@example(Tensor(IndexSet.rectangular((2,)), GQ, [gq(Fraction(_BIG + 1, 3), -_BIG), 0,
+                                                 gq(0, 1), gq(Fraction(_BIG + 1, 3), -_BIG)]), 2)
+@example(Tensor(IndexSet.rectangular((2,)), CF64,
+                [complex(1, -0.0), complex(1, 0.0), complex(1, -0.0), complex(-0.0, 5e-324)]), 1)
+def test_dumps_writes_tensors_as_their_payload(x, depth):
+    # The same tensor at the top and nested one and two levels deeper.
+    wrap = [lambda v: v, lambda v: [v], lambda v: {"a": [1], "t": v}][depth]
+    assert sz.dumps(wrap(x)) == json_reference(wrap(sz.tensor_to_json(x)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SPECS, st.booleans())
+def test_dumps_writes_jordan_types_as_their_payload(spec, report):
+    # Alone, and one level deeper as in the jordan --verify report.
+    wrap = (lambda v: {"agree": True, "closed_form": v, "oracle": v}) if report else (lambda v: v)
+    assert sz.dumps(wrap(spec)) == json_reference(wrap(sz.jordan_spec_to_json(spec)))
+
+
+@pytest.mark.parametrize("value", [complex(float("inf"), 0), complex(1, float("-inf")),
+                                   complex(float("nan"), 0)], ids=["inf", "-inf-im", "nan"])
+def test_dumps_refuses_a_tensor_with_a_non_finite_value(value):
+    x = TensorVector(IndexSet.rectangular((3,)), CF64, [1, value, complex(float("nan"), 1)])
+    with pytest.raises(VariantError, match=rf"^cf64 result \({value.real:g}"):
+        sz.dumps({"v": [x]})
+
+
+def test_large_payloads_write_and_read_as_before():
+    # Perfbench-size outputs: the writer against dumps of the payload, and the
+    # reader against from_entries of independently parsed entries.
+    rng = random.Random(28)
+    dom, exact_dom = IndexSet.rectangular((8, 16)), IndexSet.rectangular((4, 4, 4))
+    c1, c2 = (Tensor(dom, CF64, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                 for _ in range(128 ** 2)]) for _ in range(2))
+    fold = IndexMap.linear(dom, (1, 1))
+    outputs = [convolve(c1, c2, fold), average(c1, fold),
+               average(rand_tensor(rng, exact_dom), IndexMap.max_coord(exact_dom))]
+    for x in outputs:
+        text = sz.dumps(x)
+        assert text == sz.dumps(sz.tensor_to_json(x))
+        payload = json.loads(text)
+        parse = (lambda v: complex(v["re"], v["im"])) if x.kind == CF64 else \
+            (lambda v: gq(Fraction(v["re"]), Fraction(v["im"])))
+        entries = {(tuple(e["row"]), tuple(e["col"])): parse(e["value"])
+                   for e in payload["entries"]}
+        assert sz.tensor_from_json(payload)._k == Tensor.from_entries(
+            x.domain, x.kind, entries)._k == x._k
+    spec = jordan_nfold([JordanSpec([(3, 3), (2, 0), (1, -1)])] * 6)
+    assert sz.dumps(spec) == sz.dumps(sz.jordan_spec_to_json(spec))
 
 
 # -- import weight ----------------------------------------------------------
