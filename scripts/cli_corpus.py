@@ -16,7 +16,9 @@ exit code and the part of stderr before the first colon only.
 
 Exit 1, a failed verification, is never reached by a correct library.  Four
 commands therefore swap one library function for a wrong one while they run,
-so that the failure reports are pinned too.
+so that the failure reports are pinned too.  Exit 6, out of memory, needs more
+memory than a test should take: one command swaps in a function that raises
+``MemoryError``.
 """
 from __future__ import annotations
 
@@ -305,8 +307,14 @@ def commands():
          (verify_module, "check_tp_witness", lambda fmap, witness: False)),
         (["verify", "tp-witness", "--trials", "3", "--seed", "0", "--pretty"], None,
          (verify_module, "check_tp_witness", lambda fmap, witness: False)),
+        (["stretch", "--tensor", "g22-gq-t.json", "--map", "g22-max.json"], None,
+         (cli, "stretch", _out_of_memory)),
     ]
     return runs
+
+
+def _out_of_memory(*args):
+    raise MemoryError
 
 
 def key(argv, seed, swap) -> str:

@@ -4,7 +4,7 @@ Subcommands: stretch, stretch-vector, convolve, act, average, kappa, permute,
 jordan, tp-witness, verify.  Inputs and outputs are JSON; ``--pretty`` prints
 matrices, Jordan types and suite reports as text.  Exit codes: 0 success,
 1 verification failure, 2 parse error, 3 domain mismatch, 4 permutation
-outside the index set, 5 scalar-variant error.
+outside the index set, 5 scalar-variant error, 6 out of memory.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_PERMUTATION = 4
 EXIT_VARIANT = 5
+EXIT_RESOURCE = 6
 
 
 def _default_seed() -> int:
@@ -173,7 +174,7 @@ def _pretty(obj) -> str:
     if isinstance(obj, dict) and {"rows", "cols", "data"} <= obj.keys():
         return _pretty_matrix(obj)
     if isinstance(obj, JordanSpec):  # each distinct block's text once, repeated by its count
-        return " + ".join(" + ".join([f"J{size}({_cell(sz.scalar_to_json(eig, GQ), GQ)})"] * count)
+        return " + ".join(" + ".join([f"J{size}({eig})"] * count)
                           for (size, eig), count in obj.counts) + "\n"
     if isinstance(obj, dict) and "checks" in obj:
         lines = [f"suite {obj['suite']} (seed {obj['seed']}, trials {obj['trials']})"]
@@ -235,6 +236,9 @@ def main(argv=None) -> int:
     except VariantError as exc:
         print(f"scalar variant error: {exc}", file=sys.stderr)
         return EXIT_VARIANT
+    except MemoryError:
+        print("resource error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     finally:
         if collecting:
             gc.enable()

@@ -1,15 +1,11 @@
 """JSON schemas for matrices, vectors, tensors, maps, sets and Jordan specs.
 
 All output is canonical: keys sorted, two-space indent, one trailing newline,
-exact values rendered as "p/q" strings in lowest terms.  :func:`dumps` writes
-that text itself, byte for byte what ``json.dumps(obj, sort_keys=True,
-indent=2)`` plus a newline gives.  It does not call ``json.dumps`` because
-any ``indent`` switches CPython to its pure-Python encoder: :func:`dumps`
-joins strings per container instead, escapes strings with the C
-``encode_basestring_ascii`` and renders each distinct list of plain ints
-once per depth.  A tensor, vector or Jordan type is written straight from
-its stored form, as text equal to that of its ``*_to_json`` payload: each
-point list and each distinct value or Jordan block is rendered once.
+exact values rendered as "p/q" strings in lowest terms.  :func:`dumps` gives
+the text of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, but
+writes a tensor, vector or Jordan type straight from its stored form, as text
+equal to that of its ``*_to_json`` payload: each point list and each distinct
+value or Jordan block is written once.
 
 Parse failures raise :class:`~stretchkit.errors.ParseError` with the
 offending field in the message.  Each tensor or vector entry is read once,
@@ -345,73 +341,57 @@ def jordan_spec_list_from_json(obj, path: str = "specs"):
 def dumps(obj) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
-    Byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for
-    a tree of dicts with string keys, lists, tuples, strings, ints, floats,
-    booleans and None, where a Tensor, TensorVector or JordanSpec stands for
-    its ``tensor_to_json`` or ``jordan_spec_to_json`` payload (and raises the
-    VariantError that gives); anything else raises ``TypeError``.
+    Byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
+    for a tree that ``json.dumps`` takes, where a Tensor, TensorVector or
+    JordanSpec stands for its ``tensor_to_json`` or ``jordan_spec_to_json``
+    payload (and raises the VariantError that gives).  A dict key that is not
+    a string raises ``TypeError``, as does any value ``json.dumps`` refuses.
+    Subclasses of dict, list, tuple, str, int and float are written as their
+    base types are.
     """
-    return exact_text(_render, obj, "\n", {}) + "\n"
+    return exact_text(_text, obj, "\n") + "\n"
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float(x: float) -> str:
-    text = float.__repr__(x)
-    return _FLOAT_WORDS.get(text, text)
-
-
-def _render(obj, nl: str, memo: dict) -> str:
-    """JSON text of ``obj``, where ``nl`` is a newline plus the indent of
-    its depth and ``memo`` maps ``(nl, *ints)`` to a rendered int list."""
-    kind = type(obj)
-    if kind is dict:
-        if not obj:
-            return "{}"
-        inner = nl + "  "
-        items = []
-        for key, value in sorted(obj.items()):
-            leaf = type(value)
-            items.append(_ESCAPE(key) + ": " + (
-                _ESCAPE(value) if leaf is str else
-                _float(value) if leaf is float else _render(value, inner, memo)))
+def _text(obj, nl: str) -> str:
+    """JSON text of ``obj``, with ``nl`` (a newline and the indent of its
+    depth) between its lines: a payload from its stored form, a container
+    that holds one joined here, anything else through ``json.dumps``, which
+    escapes every newline inside a string: its only newlines are its own."""
+    writer = _PAYLOADS.get(type(obj))
+    if writer is not None:
+        return writer(obj, nl)
+    if not _holds_payload(obj):
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(key)}: {_text(value, inner)}"
+                 for key, value in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        # Plain ints only: True and 1.0 equal 1 but print differently.
-        if type(obj[0]) is int and _INT.issuperset(map(type, obj)):
-            key = (nl, *obj)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = "[" + inner + ("," + inner).join(
-                    map(int.__repr__, obj)) + nl + "]"
-            return text
-        return "[" + inner + ("," + inner).join([_render(v, inner, memo) for v in obj]) + nl + "]"
-    if kind is str:
-        return _ESCAPE(obj)
-    if kind is float:
-        return _float(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if obj is None:
-        return "null"
-    if kind is bool:
-        return "true" if obj else "false"
-    if kind in _PAYLOADS:
-        return _PAYLOADS[kind](obj, nl, memo)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return "[" + inner + ("," + inner).join([_text(value, inner) for value in obj]) + nl + "]"
 
 
-def _tensor_text(t, nl: str, memo: dict) -> str:
+def _holds_payload(obj) -> bool:
+    """Whether a payload is in ``obj``.  Every dict on the way must have only
+    string keys: ``json.dumps`` would write an int, float, bool or None key as
+    a string."""
+    if type(obj) in _PAYLOADS:
+        return True
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return False
+    return any(map(_holds_payload, obj))
+
+
+def _tensor_text(t, nl: str) -> str:
     """Text of ``tensor_to_json(t)`` from ``t._k``: a template per nonzero
-    entry, filled with its point texts, each rendered once, and its value
+    entry, filled with its point texts, each written once, and its value
     text, made once per distinct exact value (float: where most repeat)."""
     i1, i2, i3, i4 = (nl + "  " * depth for depth in range(1, 5))
-    points = [_render(p, i3, memo) for p in t.domain.points]
+    points = ["[" + i4 + ("," + i4).join(map(str, p)) + i3 + "]" for p in t.domain.points]
     head, tail = f'{{{i3}"{_FIELDS[type(t)][-1]}": ', f"{i2}}}"
     rows = ([f',{i3}"row": {p},{i3}"value": ' for p in points] if type(t) is Tensor
             else [f',{i3}"value": '])
@@ -440,16 +420,16 @@ def _tensor_text(t, nl: str, memo: dict) -> str:
                    zip(keys, map(texts.__getitem__, zip(re, im))) if text]
     body = f"[{i2}{f',{i2}'.join(entries)}{i1}]" if entries else "[]"
     return (f'{{{i1}"entries": {body},{i1}"index_set": '
-            f'{_render(index_set_to_json(t.domain), i1, memo)},{i1}"scalar": '
-            f'{_ESCAPE(t.kind)}{nl}}}')
+            f'{_text(index_set_to_json(t.domain), i1)},{i1}"scalar": '
+            f'{_text(t.kind, i1)}{nl}}}')
 
 
-def _spec_text(s, nl: str, memo: dict) -> str:
+def _spec_text(s, nl: str) -> str:
     """Text of ``jordan_spec_to_json(s)``: each distinct block of ``s.counts``
     is rendered once and repeated by its count."""
     i1, i2, i3 = (nl + "  " * depth for depth in range(1, 4))
     blocks = f",{i2}".join(f",{i2}".join([
-        f'{{{i3}"eigenvalue": {_render(scalar_to_json(eig, GQ), i3, memo)},{i3}"size": '
+        f'{{{i3}"eigenvalue": {_text(scalar_to_json(eig, GQ), i3)},{i3}"size": '
         f'{int.__repr__(size)}{i2}}}'] * count) for (size, eig), count in s.counts)
     return f'{{{i1}"blocks": [{i2}{blocks}{i1}]{nl}}}'
 

@@ -245,6 +245,28 @@ def test_jordan_verify_certifies_a_six_fold_product_in_512_mib(tmp_path):
     assert sum(b["size"] for b in obj["oracle"]["blocks"]) == 4096
 
 
+def test_out_of_memory_exits_6_in_512_mib(tmp_path):
+    # A tensor on 10^8 points, and a Jordan block whose oracle needs a
+    # 30,000 x 30,000 matrix: neither fits, and neither ends in a traceback.
+    resource = pytest.importorskip("resource")
+    limit = 512 * 2 ** 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    tensor = write_json(tmp_path, "t.json", {"index_set": {"kind": "rectangular",
+                                                          "dims": [10 ** 8]},
+                                            "scalar": "gq", "entries": []})
+    fmap = write_json(tmp_path, "m.json", {"kind": "max"})
+    specs = write_json(tmp_path, "specs.json", [spec_json([(30000, 1)])])
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    for args in (["stretch", "--tensor", tensor, "--map", fmap],
+                 ["jordan", "--spec", specs, "--verify"]):
+        result = subprocess.run([sys.executable, "-m", "stretchkit", *args], capture_output=True,
+                                text=True, env=env, timeout=120, preexec_fn=cap_memory)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            6, "", "resource error: out of memory\n")
+
+
 def test_jordan_float_eigenvalue_exits_5(tmp_path, capsys):
     # A JSON number in either part of an eigenvalue, an int as well as a float.
     for eigenvalue in ({"re": 0.5, "im": 0.0}, {"re": "1/1", "im": 0.5},

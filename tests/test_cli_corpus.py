@@ -24,7 +24,7 @@ def test_every_command_matches_its_recorded_digest(tmp_path):
 
 def test_corpus_reaches_every_documented_exit_code():
     assert len(RECORDED) >= 600
-    assert {int(v.split(":")[0]) for v in RECORDED.values()} == set(range(6))
+    assert {int(v.split(":")[0]) for v in RECORDED.values()} == set(range(7))
 
 
 def test_changed_names_an_altered_and_a_missing_command():

@@ -246,7 +246,8 @@ def test_dumps_renders_one_int_list_at_each_depth(ints, tree):
 
 
 def test_dumps_rejects_non_json_values_and_non_string_keys():
-    for bad in ({1: 2}, {"a": {1, 2}}, [object()], b"x"):
+    x = TensorVector(IndexSet.rectangular((1,)), GQ, [1])
+    for bad in ({1: 2}, {"a": {1, 2}}, [object()], b"x", {1: x}):
         with pytest.raises(TypeError):
             sz.dumps(bad)
 
@@ -434,16 +435,30 @@ _SPECS = st.lists(st.tuples(st.integers(1, 4), st.sampled_from(
 
 
 @settings(max_examples=150, deadline=None)
-@given(_stored(), st.integers(0, 2))
+@given(_stored(), st.integers(0, 4))
 @example(TensorVector(IndexSet.explicit([(0, 0)]), CF64, [0]), 0)
 @example(Tensor(IndexSet.rectangular((2,)), GQ, [gq(Fraction(_BIG + 1, 3), -_BIG), 0,
                                                  gq(0, 1), gq(Fraction(_BIG + 1, 3), -_BIG)]), 2)
 @example(Tensor(IndexSet.rectangular((2,)), CF64,
                 [complex(1, -0.0), complex(1, 0.0), complex(1, -0.0), complex(-0.0, 5e-324)]), 1)
 def test_dumps_writes_tensors_as_their_payload(x, depth):
-    # The same tensor at the top and nested one and two levels deeper.
-    wrap = [lambda v: v, lambda v: [v], lambda v: {"a": [1], "t": v}][depth]
+    # The same tensor at the top, nested one to three levels deeper and in a tuple.
+    wrap = [lambda v: v, lambda v: [v], lambda v: {"a": [1], "t": v}, lambda v: (v, "b"),
+            lambda v: {"a": [{"b": 1.5}, {"c": [v, None]}], "d": {}}][depth]
     assert sz.dumps(wrap(x)) == json_reference(wrap(sz.tensor_to_json(x)))
+
+
+def test_dumps_lifts_the_digit_limit_for_an_int_beside_a_tensor():
+    # The int goes through json.dumps, which raises until exact_text lifts the limit.
+    obj = {"k": 10 ** 5000, "t": TensorVector(IndexSet.rectangular((2,)), GQ, [1, gq("1/2")])}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = json_reference(dict(obj, t=sz.tensor_to_json(obj["t"])))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sz.dumps(obj) == want
+    assert sys.get_int_max_str_digits() == limit
 
 
 @settings(max_examples=100, deadline=None)
